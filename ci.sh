@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 build+test, formatting, lints, the audited
-# conformance leg, a sweep determinism smoke test (SNOC_THREADS must
-# not change a repro binary's stdout), a partitioned-stepper smoke
-# (SNOC_SHARDS=4 must match the serial stepper byte for byte), a
+# CI gate: tier-1 build+test, formatting, workspace-wide lints, the
+# audited conformance leg, a sweep determinism smoke test (SNOC_THREADS
+# must not change a repro binary's stdout), a determinism leg
+# (repeated, audited and telemetry runs must match), a
 # strict-CLI check (a typo'd flag must fail without touching the
 # checked-in baseline), a sweep-cache leg (a warm rerun must be
 # byte-identical, cache-served, and at least 2x faster), a perf smoke
@@ -25,8 +25,8 @@ cargo test -q
 echo "== formatting =="
 cargo fmt --all -- --check
 
-echo "== lints: clippy, warnings are errors =="
-cargo clippy --all-targets -- -D warnings
+echo "== lints: clippy over the workspace, warnings are errors =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== audit: every experiment invariant-clean at quick scale =="
 cargo test --release -q -p snoc-core --test audit
@@ -42,12 +42,6 @@ SNOC_THREADS=4 cargo run --release -q -p snoc-bench --bin repro-fig3 -- --quick 
 diff -u "$tmp/t1.out" "$tmp/t4.out"
 test -s "$tmp/t1.out"
 echo "ok: identical across thread counts"
-
-echo "== shard smoke: SNOC_SHARDS=4 stdout must match the serial stepper =="
-SNOC_SHARDS=4 cargo run --release -q -p snoc-bench --bin repro-fig3 -- --quick \
-    >"$tmp/s4.out" 2>/dev/null
-diff -u "$tmp/t1.out" "$tmp/s4.out"
-echo "ok: identical across shard counts"
 
 echo "== sweep cache: warm rerun byte-identical, cache-served, and 2x faster =="
 export SNOC_CACHE_DIR="$tmp/cellcache"
@@ -73,7 +67,7 @@ if [ $((t_warm * 2)) -gt "$t_cold" ]; then
 fi
 echo "ok: warm rerun identical, served from cache, $((t_cold / t_warm))x faster"
 
-echo "== shard conformance: fingerprints across SNOC_SHARDS, audited and faulted =="
+echo "== determinism: fingerprints repeat run to run, audited and with telemetry =="
 cargo test --release -q -p snoc-core --test determinism
 
 echo "== strict CLI: a typo'd flag must fail before any file is written =="

@@ -2,8 +2,7 @@
 //! and a 2-layer cache stack, anchored by the 8x8 point.
 //!
 //! Runs through the same SweepRunner/cell-cache machinery as every
-//! figure (`SNOC_THREADS`, `SNOC_SHARDS`, `SNOC_SWEEP_CACHE` all
-//! apply). Results land under `<SNOC_RESULTS_DIR|results>/scaling/`.
+//! figure (`SNOC_THREADS` and `SNOC_SWEEP_CACHE` apply). Results land under `<SNOC_RESULTS_DIR|results>/scaling/`.
 //!
 //! `--smoke` (or `--quick`) runs the Quick scale for CI.
 

@@ -1,10 +1,10 @@
 //! A dependency-free micro-benchmark harness.
 //!
 //! The registry is unreachable in the offline build environments this
-//! repository targets, so the `benches/` binaries time themselves with
-//! this Criterion-lite shim instead of pulling `criterion`: warm up,
-//! run timed batches until a time budget is spent, report mean /
-//! best / worst per iteration.
+//! repository targets, so `repro-perf` and the `kernels` bench time
+//! themselves with this Criterion-lite shim instead of pulling
+//! `criterion`: warm up, run timed batches until a time budget is
+//! spent, report mean / best / worst per iteration.
 //!
 //! Besides the stdout line, every completed benchmark is recorded in a
 //! process-wide registry; when `SNOC_BENCH_JSON=<path>` is set the

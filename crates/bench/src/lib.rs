@@ -1,9 +1,9 @@
 //! Benchmark harness for the STT-RAM NoC reproduction.
 //!
 //! One `repro-*` binary per table/figure regenerates the paper's
-//! rows/series at full scale (pass `--quick` for a fast pass), and one
-//! bench per table/figure prints the quick-scale result and times a
-//! representative kernel on the dependency-free [`harness`].
+//! rows/series at full scale (pass `--quick` for a fast pass);
+//! `repro-perf` and the `kernels` bench time the hot paths on the
+//! dependency-free [`harness`].
 
 pub mod harness;
 

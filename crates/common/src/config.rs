@@ -138,11 +138,6 @@ pub struct NocConfig {
     /// Age beyond which an outstanding WB tag is considered lost and
     /// dropped, freeing the child for a fresh sample (4096).
     pub wb_tag_timeout: u64,
-    /// Intra-run mesh partition count for the sharded network stepper
-    /// (0 = unset: resolved from `SNOC_SHARDS`, default serial). Run
-    /// fingerprints are byte-identical at any value; this is purely a
-    /// host-parallelism knob, not a modeled parameter.
-    pub shards: usize,
 }
 
 impl Default for NocConfig {
@@ -159,7 +154,6 @@ impl Default for NocConfig {
             hold_slack: 8,
             wb_expire_period: 1024,
             wb_tag_timeout: 4096,
-            shards: 0,
         }
     }
 }
@@ -549,10 +543,7 @@ impl SystemConfig {
     /// The stream is explicit field by field — no derived `Hash` — so
     /// the digest is stable across compiler releases and only changes
     /// when a field is added or its meaning shifts (bump the cell
-    /// codec version alongside any such change). `noc.shards` is
-    /// deliberately *excluded*: it is a host-parallelism knob whose
-    /// every value produces byte-identical results, so configs
-    /// differing only in shard count must share a cache entry.
+    /// codec version alongside any such change).
     pub fn hash_into(&self, h: &mut crate::fingerprint::StableHasher) {
         let n = &self.noc;
         h.write_u8(n.width);
@@ -770,14 +761,8 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_shards_but_sees_every_modeled_knob() {
+    fn fingerprint_sees_every_modeled_knob() {
         let base = SystemConfig::default();
-        let sharded = base.rebuild().tune(|c| c.noc.shards = 4).build();
-        assert_eq!(
-            base.fingerprint(),
-            sharded.fingerprint(),
-            "shards is a host knob, not a modeled parameter"
-        );
         let tweaks: Vec<SystemConfig> = vec![
             base.rebuild().seed(base.seed + 1).build(),
             base.rebuild().tech(MemTech::SttRam).build(),

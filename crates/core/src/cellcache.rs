@@ -54,9 +54,7 @@ const BENCH_SCHEMA: &str = "snoc-bench/1";
 /// (including seed and warm-up/measure cycles, i.e. the scale) via
 /// [`snoc_common::config::SystemConfig::hash_into`], the workload
 /// name, the per-core application assignment, and the drive mode. It
-/// deliberately excludes the cell label (presentation only) and
-/// `noc.shards` (host parallelism; byte-identical output at any
-/// value).
+/// deliberately excludes the cell label (presentation only).
 pub fn cell_key(spec: &RunSpec) -> Option<Fingerprint> {
     if spec.faults.is_some() || spec.audit.is_some() || spec.telemetry.is_some() {
         return None;

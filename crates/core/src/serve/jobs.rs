@@ -95,8 +95,8 @@ pub fn build_grid(req: &JobRequest) -> Result<(String, Vec<RunSpec>), String> {
 
 /// The content key of a whole grid: every modeled input of every cell,
 /// plus labels and cell order (two jobs that would print different
-/// reports are different jobs). Host-parallelism knobs (`noc.shards`,
-/// worker counts) are excluded, exactly as in the per-cell key.
+/// reports are different jobs). Worker counts are excluded, exactly as
+/// in the per-cell key.
 pub fn job_key(grid: &[RunSpec]) -> Fingerprint {
     let mut h = StableHasher::new();
     h.write_str(JOB_SCHEMA);

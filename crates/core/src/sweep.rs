@@ -153,15 +153,6 @@ impl RunSpec {
         self
     }
 
-    /// Pins the intra-run mesh partition count for this cell
-    /// (programmatic alternative to `SNOC_SHARDS`, race-free under
-    /// parallel sweeps). Run fingerprints are byte-identical at any
-    /// value; this is purely a host-parallelism knob.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.cfg.noc.shards = shards.max(1);
-        self
-    }
-
     /// Folds a captured environment snapshot into this spec's explicit
     /// fields: programmatic settings win, the snapshot fills whatever
     /// was left unset. After this, running the spec touches no
@@ -176,9 +167,6 @@ impl RunSpec {
         }
         if self.faults.is_none() {
             self.faults = env.faults;
-        }
-        if self.cfg.noc.shards == 0 {
-            self.cfg.noc.shards = env.shards.unwrap_or(1);
         }
         self
     }
@@ -305,9 +293,9 @@ impl SweepRunner {
     /// Result caching and warm-state reuse are on; the on-disk store
     /// is off until [`SweepRunner::cache_dir`] points somewhere. The
     /// NoC environment fallbacks (`SNOC_AUDIT`/`SNOC_TELEMETRY`/
-    /// `SNOC_FAULTS`/`SNOC_SHARDS`) are snapshotted *now*: grids run
-    /// later see this moment's environment, never a mid-flight
-    /// mutation ([`SweepRunner::noc_env`] overrides the snapshot).
+    /// `SNOC_FAULTS`) are snapshotted *now*: grids run later see this
+    /// moment's environment, never a mid-flight mutation
+    /// ([`SweepRunner::noc_env`] overrides the snapshot).
     pub fn new() -> Self {
         Self {
             threads: 1,
@@ -389,9 +377,9 @@ impl SweepRunner {
 
     /// Replaces the environment snapshot taken at construction.
     /// `NocEnv::default()` makes the runner fully hermetic (no audit/
-    /// telemetry/fault fallbacks, serial stepping unless a spec pins
-    /// `noc.shards`); a snapshot captured at server startup pins every
-    /// job of a long-running process to that one resolution.
+    /// telemetry/fault fallbacks); a snapshot captured at server
+    /// startup pins every job of a long-running process to that one
+    /// resolution.
     pub fn noc_env(mut self, env: NocEnv) -> Self {
         self.env = env;
         self

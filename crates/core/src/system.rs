@@ -115,12 +115,11 @@ impl System {
 
     /// Builds a system like [`System::new`], but with every NoC
     /// environment fallback (`SNOC_AUDIT`/`SNOC_TELEMETRY`/
-    /// `SNOC_FAULTS`/`SNOC_SHARDS`) taken from the pre-captured `env`
-    /// snapshot instead of the live process environment. Multi-cell
-    /// engines (the sweep runner, the sweep server) resolve the
-    /// environment once and build every cell through this, so a
-    /// mid-flight environment mutation can never alter an accepted
-    /// cell.
+    /// `SNOC_FAULTS`) taken from the pre-captured `env` snapshot
+    /// instead of the live process environment. Multi-cell engines
+    /// (the sweep runner, the sweep server) resolve the environment
+    /// once and build every cell through this, so a mid-flight
+    /// environment mutation can never alter an accepted cell.
     ///
     /// # Panics
     ///
@@ -211,7 +210,7 @@ impl System {
     }
 
     /// Re-targets this system at a new sweep cell, reusing the
-    /// network's allocated workspace shards, packet arena, routing
+    /// network's allocated workspace, packet arena, routing
     /// memoization and scratch via [`Network::reset`] instead of
     /// reconstructing them.
     ///

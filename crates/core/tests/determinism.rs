@@ -1,45 +1,25 @@
 //! Differential determinism on the optimized hot path: the
 //! activity-driven, allocation-free cycle loop must produce the exact
 //! same `RunMetrics` run-to-run — with and without the invariant
-//! auditor riding along, and at any intra-run mesh shard count — for
-//! both a plain SRAM baseline and the paper's full STT-RAM +
-//! bank-aware-arbitration configuration.
+//! auditor or the telemetry collector riding along — for both a plain
+//! SRAM baseline and the paper's full STT-RAM + bank-aware-arbitration
+//! configuration. Fault campaigns replay per seed in `faults.rs`.
 //!
-//! One `#[test]` on purpose: it toggles the process-wide `SNOC_AUDIT`,
-//! `SNOC_TELEMETRY` and `SNOC_SHARDS` environment variables, which
-//! must not race a parallel test.
+//! One `#[test]` for the 8x8 cells on purpose: it toggles the
+//! process-wide `SNOC_AUDIT` and `SNOC_TELEMETRY` environment
+//! variables, which must not race a parallel test.
 
 use snoc_core::experiments::Scale;
 use snoc_core::metrics::RunMetrics;
 use snoc_core::scenario::Scenario;
 use snoc_core::system::System;
-use snoc_noc::FaultPlan;
+use snoc_noc::AuditConfig;
 use snoc_workload::table3 as t3;
 
 fn run_cell(scenario: Scenario) -> RunMetrics {
-    run_sharded(scenario, 0, false)
-}
-
-/// A quick cell at an explicit shard count (0 = leave the config
-/// unset, deferring to `SNOC_SHARDS`), optionally under a
-/// deterministic fault campaign.
-fn run_sharded(scenario: Scenario, shards: usize, faulted: bool) -> RunMetrics {
     let app = t3::by_name("sap").unwrap();
-    let mut cfg = Scale::Quick.apply(scenario.config());
-    cfg.noc.shards = shards;
-    let mut sys = System::homogeneous(cfg, app);
-    if faulted {
-        sys.enable_faults(FaultPlan {
-            seed: 7,
-            tsb_rate: 2e-3,
-            link_rate: 4e-3,
-            port_rate: 4e-3,
-            bank_rate: 8e-3,
-            kill_tsb_at: Some(400),
-            ..FaultPlan::default()
-        });
-    }
-    sys.run()
+    let cfg = Scale::Quick.apply(scenario.config());
+    System::homogeneous(cfg, app).run()
 }
 
 /// The full metrics record as a comparable string, minus the audit and
@@ -101,80 +81,45 @@ fn quick_cells_are_deterministic_and_audit_clean() {
             fingerprint(&instrumented),
             "{scenario:?}: telemetry changed simulated behaviour"
         );
-
-        // The partitioned stepper: fingerprints must be byte-identical
-        // at any shard count — plain, audited and faulted.
-        for shards in [2, 4] {
-            let sharded = run_sharded(scenario, shards, false);
-            assert_eq!(
-                fingerprint(&first),
-                fingerprint(&sharded),
-                "{scenario:?}: {shards} shards diverged from serial"
-            );
-
-            std::env::set_var("SNOC_AUDIT", "1");
-            let audited = run_sharded(scenario, shards, false);
-            std::env::remove_var("SNOC_AUDIT");
-            let report = audited.audit.clone().expect("auditor is on");
-            assert!(
-                report.clean(),
-                "{scenario:?}: {shards}-shard audit violations: {:?}",
-                report.samples
-            );
-            assert_eq!(
-                fingerprint(&first),
-                fingerprint(&audited),
-                "{scenario:?}: audited {shards}-shard run diverged"
-            );
-        }
-        let faulted_serial = run_sharded(scenario, 1, true);
-        for shards in [2, 4] {
-            let faulted = run_sharded(scenario, shards, true);
-            assert_eq!(
-                fingerprint(&faulted_serial),
-                fingerprint(&faulted),
-                "{scenario:?}: faulted {shards}-shard run diverged"
-            );
-        }
-
-        // The `SNOC_SHARDS` environment knob resolves into the same
-        // partitioned stepper (config left unset).
-        std::env::set_var("SNOC_SHARDS", "4");
-        let via_env = run_sharded(scenario, 0, false);
-        std::env::remove_var("SNOC_SHARDS");
-        assert_eq!(
-            fingerprint(&first),
-            fingerprint(&via_env),
-            "{scenario:?}: SNOC_SHARDS=4 diverged from serial"
-        );
     }
 }
 
-/// Shard invariance beyond the 8x8 point: one 16x16 / 16-region /
-/// 2-layer cell, serial vs 4 shards, byte-identical metrics. Uses the
-/// race-free `noc.shards` config field only (no env toggles), so this
-/// can be its own `#[test]`.
+/// Determinism beyond the 8x8 point: one 16x16 / 16-region / 2-layer
+/// cell, run plain and then with the auditor attached through the
+/// race-free `System::enable_audit` (no env toggles, so this can be
+/// its own `#[test]`). The audited run must be violation-free and
+/// byte-identical to the plain one.
 #[test]
-fn sixteen_by_sixteen_cell_is_shard_invariant() {
+fn sixteen_by_sixteen_cell_is_deterministic_and_audit_clean() {
     let app = t3::by_name("sap").unwrap();
-    let run = |shards: usize| {
-        let mut cfg = Scenario::SttRam4TsbWb
+    let run = |audit: bool| {
+        let cfg = Scenario::SttRam4TsbWb
             .config_at(16, 16, 16, 2)
             .rebuild()
             .cycles(200, 1_200)
             .build();
-        cfg.noc.shards = shards;
-        System::homogeneous(cfg, app).run()
+        let mut sys = System::homogeneous(cfg, app);
+        if audit {
+            sys.enable_audit(AuditConfig::default());
+        }
+        sys.run()
     };
-    let serial = run(1);
-    let sharded = run(4);
+    let plain = run(false);
+    let audited = run(true);
     assert!(
-        serial.instruction_throughput() > 0.0,
+        plain.instruction_throughput() > 0.0,
         "16x16 cell made no progress"
     );
+    let report = audited.audit.clone().expect("the auditor is on");
+    assert!(
+        report.clean(),
+        "16x16/K16/L2: audit violations: {:?}",
+        report.samples
+    );
+    assert!(report.checked_cycles > 0, "auditor must have run");
     assert_eq!(
-        fingerprint(&serial),
-        fingerprint(&sharded),
-        "16x16/K16/L2: 4 shards diverged from serial"
+        fingerprint(&plain),
+        fingerprint(&audited),
+        "16x16/K16/L2: repeated runs diverged"
     );
 }

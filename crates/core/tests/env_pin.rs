@@ -26,7 +26,7 @@ fn spec(label: &str) -> RunSpec {
 }
 
 fn clear_env() {
-    for var in ["SNOC_AUDIT", "SNOC_TELEMETRY", "SNOC_FAULTS", "SNOC_SHARDS"] {
+    for var in ["SNOC_AUDIT", "SNOC_TELEMETRY", "SNOC_FAULTS"] {
         std::env::remove_var(var);
     }
 }

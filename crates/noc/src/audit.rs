@@ -256,13 +256,13 @@ impl NetAuditor {
     fn check_credits(&mut self, net: &Network, now: Cycle) {
         let mesh = net.mesh();
         let depth = net.params().noc.vc_depth;
-        let ws = net.ws_view();
+        let ws = net.workspace();
         for (idx, r) in net.routers.iter().enumerate() {
             let vcs = r.vcs();
             let coord = r.coord();
             for dir in Direction::ALL {
                 for vc in 0..vcs {
-                    let credits = r.credits(net.shard(idx), dir, vc) as usize;
+                    let credits = r.credits(ws, dir, vc) as usize;
                     let (occupied, what) = if dir == Direction::Local {
                         (net.nics[idx].eject_depth(vc), "NI ejection")
                     } else {
@@ -326,7 +326,7 @@ impl NetAuditor {
         }
         let max_hold = net.params().max_hold;
         let hold_slack = net.params().hold_slack;
-        let ws = net.ws_view();
+        let ws = net.workspace();
         let mut found: Vec<(usize, String)> = Vec::new();
         for (idx, r) in net.routers.iter().enumerate() {
             if r.children().is_empty() {
@@ -367,8 +367,7 @@ impl NetAuditor {
                     // its route).
                     let dir = net.routing.next_hop(r.coord(), packet);
                     let range = packet.kind.class().vc_range(vcs);
-                    let escape =
-                        front.ready_at <= now && r.has_free_credited_vc(net.shard(idx), dir, range);
+                    let escape = front.ready_at <= now && r.has_free_credited_vc(ws, dir, range);
                     if !escape {
                         self.strikes[flat] = (0, 0);
                         continue;

@@ -38,7 +38,6 @@ pub mod network;
 pub mod nic;
 pub mod packet;
 pub mod parent;
-pub(crate) mod partition;
 pub mod regions;
 pub mod router;
 pub mod routing;
@@ -51,4 +50,4 @@ pub use fault::{FaultPlan, FaultSummary};
 pub use network::{NetStats, Network, NetworkParams, NocEnv};
 pub use packet::{Flit, Packet, PacketKind, TrafficClass};
 pub use telemetry::{TelemetryConfig, TelemetrySummary};
-pub use workspace::{NocWorkspace, PortRef, VcRef, WsView};
+pub use workspace::{NocWorkspace, PortRef, VcRef};

@@ -9,12 +9,11 @@ use crate::fault::{FaultPlan, FaultState, FaultSummary};
 use crate::nic::{DeliveryEvent, Nic};
 use crate::packet::{Flit, Packet, TrafficClass, WbTag};
 use crate::parent::ParentMap;
-use crate::partition::PartitionMap;
 use crate::regions::RegionMap;
 use crate::router::{NetView, Router, StepParams, SwitchMove, MAX_BURST, PORTS};
 use crate::routing::RoutingTable;
 use crate::telemetry::{NetTelemetry, TelemetryConfig, TelemetrySummary};
-use crate::workspace::{NocWorkspace, WsView};
+use crate::workspace::NocWorkspace;
 use snoc_common::config::{
     ArbitrationPolicy, Estimator, NocConfig, RequestPathMode, SystemConfig, TsbPlacement,
 };
@@ -62,7 +61,7 @@ pub struct NetworkParams {
 }
 
 /// A one-time snapshot of the NoC environment fallbacks
-/// (`SNOC_AUDIT`, `SNOC_TELEMETRY`, `SNOC_FAULTS`, `SNOC_SHARDS`).
+/// (`SNOC_AUDIT`, `SNOC_TELEMETRY`, `SNOC_FAULTS`).
 ///
 /// [`NetworkParams::from_config`] historically read those variables at
 /// *construction time*, i.e. once per simulation cell. In a
@@ -72,7 +71,7 @@ pub struct NetworkParams {
 /// the environment once into a `NocEnv` and resolving parameters
 /// through [`NetworkParams::resolve`] pins every cell to the snapshot
 /// taken at startup. `NocEnv::default()` is the hermetic "no
-/// environment" snapshot (everything off, serial stepping).
+/// environment" snapshot (everything off).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NocEnv {
     /// `SNOC_AUDIT` resolution (`None` = off).
@@ -81,20 +80,15 @@ pub struct NocEnv {
     pub telemetry: Option<TelemetryConfig>,
     /// `SNOC_FAULTS` resolution (`None` = off).
     pub faults: Option<FaultPlan>,
-    /// `SNOC_SHARDS` resolution (`None` = unset, i.e. serial).
-    pub shards: Option<usize>,
 }
 
 impl NocEnv {
-    /// Reads all four fallback variables, once, now.
+    /// Reads all three fallback variables, once, now.
     pub fn capture() -> Self {
         Self {
             audit: AuditConfig::from_env(),
             telemetry: TelemetryConfig::from_env(),
             faults: FaultPlan::from_env(),
-            shards: std::env::var("SNOC_SHARDS")
-                .ok()
-                .and_then(|v| v.parse().ok()),
         }
     }
 }
@@ -114,14 +108,8 @@ impl NetworkParams {
     /// pre-captured `env` snapshot instead of the live process
     /// environment.
     pub fn resolve(cfg: &SystemConfig, env: &NocEnv) -> Self {
-        let mut noc = cfg.noc;
-        if noc.shards == 0 {
-            // Unset in the config: the captured `SNOC_SHARDS` knob
-            // decides, defaulting to the serial single partition.
-            noc.shards = env.shards.unwrap_or(1);
-        }
         Self {
-            noc,
+            noc: cfg.noc,
             path_mode: cfg.path_mode,
             regions: cfg.regions,
             placement: cfg.tsb_placement,
@@ -229,113 +217,6 @@ impl NetView for View<'_> {
     }
 }
 
-/// Minimum total buffered flits before the partition phase spawns
-/// threads: below this the scope/spawn overhead dwarfs the work.
-/// Gating on load cannot change outputs — the merge phase replays the
-/// partition mailboxes in the same canonical order either way.
-const SPAWN_THRESHOLD: usize = 768;
-
-/// Read-only state shared by every partition during the parallel
-/// phase of a cycle.
-struct StepShared<'a> {
-    view: View<'a>,
-    now: Cycle,
-    router_stages: u64,
-    policy: ArbitrationPolicy,
-    max_hold: Cycle,
-    hold_slack: Cycle,
-    tsb_extra: usize,
-    wide_down: &'a [bool],
-    fault_blocked: Option<&'a [u8]>,
-}
-
-/// One partition's mutable slice of the network: its workspace shard,
-/// its routers and NICs, its wake masks (local bit indices) and its
-/// outbound mailboxes (`moves`, `stamps`), merged serially at the
-/// cycle boundary.
-struct PartCtx<'a> {
-    /// First global router index of the partition.
-    start: usize,
-    ws: &'a mut NocWorkspace,
-    routers: &'a mut [Router],
-    nics: &'a mut [Nic],
-    inject_wake: &'a mut WakeMask,
-    router_wake: &'a mut WakeMask,
-    moves: &'a mut Vec<(usize, SwitchMove)>,
-    stamps: &'a mut Vec<PacketId>,
-}
-
-/// Per-partition mailbox scratch, persistent across cycles.
-#[derive(Debug, Default)]
-struct PartScratch {
-    /// Granted switch moves, in local VA/SA visit order.
-    moves: Vec<(usize, SwitchMove)>,
-    /// Packets whose head flit entered the network this cycle
-    /// (`injected_at` is stamped after the partition barrier).
-    stamps: Vec<PacketId>,
-}
-
-/// The intra-cycle work of one partition: injection at its NICs, then
-/// VC and switch allocation at its routers, all against its own
-/// workspace shard. Granted moves land in the partition mailbox; the
-/// serial merge phase applies them in (partition, collection) order,
-/// which — partitions being contiguous ascending index ranges — is
-/// exactly the global ascending order of the serial stepper.
-fn step_partition(ctx: &mut PartCtx<'_>, sh: &StepShared<'_>) {
-    // Injection: one flit per woken NI per cycle.
-    for w in 0..ctx.inject_wake.words() {
-        let mut word = ctx.inject_wake.word(w);
-        while word != 0 {
-            let li = (w << 6) + word.trailing_zeros() as usize;
-            word &= word - 1;
-            if ctx.nics[li].inject_backlog() == 0 {
-                ctx.inject_wake.clear(li);
-                continue;
-            }
-            if ctx.nics[li].inject_step(
-                &mut ctx.routers[li],
-                ctx.ws,
-                sh.view.arena,
-                sh.now,
-                sh.router_stages,
-                ctx.stamps,
-            ) {
-                ctx.router_wake.set(li);
-            }
-            if ctx.nics[li].inject_backlog() == 0 {
-                ctx.inject_wake.clear(li);
-            }
-        }
-    }
-
-    // VC allocation and switch allocation at every active router.
-    for w in 0..ctx.router_wake.words() {
-        let mut word = ctx.router_wake.word(w);
-        while word != 0 {
-            let li = (w << 6) + word.trailing_zeros() as usize;
-            word &= word - 1;
-            let idx = ctx.start + li;
-            if ctx.ws.buffered(idx) == 0 {
-                ctx.router_wake.clear(li);
-                continue;
-            }
-            let p = StepParams {
-                now: sh.now,
-                policy: sh.policy,
-                max_hold: sh.max_hold,
-                hold_slack: sh.hold_slack,
-                wide_down: sh.wide_down[idx],
-                tsb_extra: sh.tsb_extra,
-                blocked: sh.fault_blocked.map_or(0, |b| b[idx]),
-            };
-            ctx.routers[li].step_va(ctx.ws, &sh.view, p);
-            for m in ctx.routers[li].step_sa(ctx.ws, &sh.view, p) {
-                ctx.moves.push((idx, *m));
-            }
-        }
-    }
-}
-
 /// The cycle-level 3D NoC simulator.
 #[derive(Debug)]
 pub struct Network {
@@ -344,35 +225,25 @@ pub struct Network {
     pub(crate) routing: RoutingTable,
     parents: ParentMap,
     pub(crate) routers: Vec<Router>,
-    /// Contiguous band-aligned partitions of the router index space.
-    parts: PartitionMap,
-    /// The structure-of-arrays stores holding every router's VC
-    /// buffer, credit and hold lanes — one shard per partition, each
-    /// indexed by *global* router index.
-    pub(crate) shards: Vec<NocWorkspace>,
+    /// The structure-of-arrays store holding every router's VC
+    /// buffer, credit and hold lanes.
+    ws: NocWorkspace,
     pub(crate) nics: Vec<Nic>,
     pub(crate) arena: Arena,
     estimator: EstimatorState,
     wide_down: Vec<bool>,
     now: Cycle,
     stats: NetStats,
-    /// Per-partition wake lists (local bit indices). Routers that may
-    /// have work: a router is woken when a flit enters it and put back
-    /// to sleep when visited empty.
-    router_wake: Vec<WakeMask>,
-    /// NICs with injection backlog (woken on enqueue), per partition.
-    nic_inject_wake: Vec<WakeMask>,
-    /// NICs with buffered ejection flits (woken on ejection), per
-    /// partition.
-    nic_eject_wake: Vec<WakeMask>,
-    /// Per-partition mailbox scratch, persistent across cycles.
-    scratch: Vec<PartScratch>,
-    /// Whether the partition phase may use scoped threads (more than
-    /// one partition and more than one host core).
-    spawn_threads: bool,
-    /// Cycles whose partition phase actually ran on spawned threads
-    /// (diagnostics: the work gate keeps light cycles inline).
-    spawned_cycles: u64,
+    /// Routers that may have work: a router is woken when a flit
+    /// enters it and put back to sleep when visited empty.
+    router_wake: WakeMask,
+    /// NICs with injection backlog (woken on enqueue).
+    nic_inject_wake: WakeMask,
+    /// NICs with buffered ejection flits (woken on ejection).
+    nic_eject_wake: WakeMask,
+    /// Switch moves granted this cycle, in VA/SA visit order; applied
+    /// after every router has allocated (persistent scratch).
+    moves: Vec<(usize, SwitchMove)>,
     /// Indices of parent routers (non-empty child list), ascending.
     parent_idxs: Vec<u32>,
     /// Persistent scratch for the NIC drain credit sink.
@@ -488,48 +359,20 @@ impl Network {
                 r.tap = Some(Box::default());
             }
         }
-        // Partitions align to bands of two mesh rows (rows of the 2x2
-        // router blocks); a `shards` of 0 or 1 is the serial single
-        // partition.
-        let parts = PartitionMap::new(
-            routers.len(),
-            2 * params.noc.width as usize,
-            params.noc.shards,
-        );
-        let shards = (0..parts.parts())
-            .map(|p| {
-                NocWorkspace::with_base(
-                    parts.start(p),
-                    parts.len(p),
-                    params.noc.vcs_per_port,
-                    params.noc.vc_depth,
-                )
-            })
-            .collect();
-        let spawn_threads = parts.parts() > 1
-            && std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) > 1;
+        let ws = NocWorkspace::new(routers.len(), params.noc.vcs_per_port, params.noc.vc_depth);
         Self {
             params,
             mesh,
             routing,
             parents,
-            router_wake: (0..parts.parts())
-                .map(|p| WakeMask::new(parts.len(p)))
-                .collect(),
-            nic_inject_wake: (0..parts.parts())
-                .map(|p| WakeMask::new(parts.len(p)))
-                .collect(),
-            nic_eject_wake: (0..parts.parts())
-                .map(|p| WakeMask::new(parts.len(p)))
-                .collect(),
-            scratch: (0..parts.parts()).map(|_| PartScratch::default()).collect(),
-            spawn_threads,
-            spawned_cycles: 0,
+            router_wake: WakeMask::new(routers.len()),
+            nic_inject_wake: WakeMask::new(routers.len()),
+            nic_eject_wake: WakeMask::new(routers.len()),
+            moves: Vec::new(),
             parent_idxs,
             eject_credits: Vec::new(),
             eject_events: Vec::new(),
-            shards,
-            parts,
+            ws,
             routers,
             nics,
             arena: Arena::new(),
@@ -546,23 +389,22 @@ impl Network {
     }
 
     /// Returns the network to cycle 0 under `params`, reusing the
-    /// allocated workspace shards, packet arena, routers, NICs and
-    /// per-partition scratch instead of reconstructing them.
+    /// allocated workspace, packet arena, routers, NICs and scratch
+    /// instead of reconstructing them.
     ///
     /// When the new parameters share this network's physical geometry
-    /// (mesh dimensions, VC count/depth, flits per data packet, outbox
-    /// capacities and partition count), every component is rewound in
-    /// place and all *derived* structures — region map, parent map,
-    /// routing table, congestion estimators, wide-TSB flags, parent
-    /// index list — are rebuilt from `params` exactly as construction
-    /// builds them. The unconditional rebuild matters: a fault
-    /// campaign's [`Network::rehome_region`] permanently rewires those
-    /// structures, and a reset must not leak that wiring into the next
-    /// cell. Auditor, telemetry and fault state are re-derived from
-    /// `params` the same way [`Network::new`] derives them, so a reset
-    /// network is observably identical to a freshly constructed one
-    /// (the lockstep test in `workspace_diff.rs` drives both
-    /// move-for-move).
+    /// (mesh dimensions, VC count/depth, flits per data packet and
+    /// outbox capacities), every component is rewound in place and all
+    /// *derived* structures — region map, parent map, routing table,
+    /// congestion estimators, wide-TSB flags, parent index list — are
+    /// rebuilt from `params` exactly as construction builds them. The
+    /// unconditional rebuild matters: a fault campaign's
+    /// [`Network::rehome_region`] permanently rewires those structures,
+    /// and a reset must not leak that wiring into the next cell.
+    /// Auditor, telemetry and fault state are re-derived from `params`
+    /// the same way [`Network::new`] derives them, so a reset network
+    /// is observably identical to a freshly constructed one (the
+    /// lockstep tests in `workspace_diff.rs` drive both move-for-move).
     ///
     /// Geometry changes fall back to full reconstruction.
     pub fn reset(&mut self, params: NetworkParams) {
@@ -572,7 +414,6 @@ impl Network {
             && old.vcs_per_port == params.noc.vcs_per_port
             && old.vc_depth == params.noc.vc_depth
             && old.data_flits == params.noc.data_flits
-            && old.shards == params.noc.shards
             && self.params.cache_outbox_cap == params.cache_outbox_cap
             && self.params.core_outbox_cap == params.core_outbox_cap;
         if !compatible {
@@ -637,29 +478,18 @@ impl Network {
         self.parents = parents;
 
         // Allocated state, rewound in place.
-        for ws in &mut self.shards {
-            ws.reset();
-        }
+        self.ws.reset();
         for nic in &mut self.nics {
             nic.reset(params.noc.vc_depth);
         }
         self.arena.reset();
-        for mask in self
-            .router_wake
-            .iter_mut()
-            .chain(&mut self.nic_inject_wake)
-            .chain(&mut self.nic_eject_wake)
-        {
-            mask.zero();
-        }
-        for s in &mut self.scratch {
-            s.moves.clear();
-            s.stamps.clear();
-        }
+        self.router_wake.zero();
+        self.nic_inject_wake.zero();
+        self.nic_eject_wake.zero();
+        self.moves.clear();
         self.eject_credits.clear();
         self.eject_events.clear();
         self.now = 0;
-        self.spawned_cycles = 0;
         self.stats = NetStats::default();
 
         // Instrumentation, re-derived exactly as `new` derives it.
@@ -718,13 +548,6 @@ impl Network {
         &self.stats
     }
 
-    /// Cycles whose partition phase ran on spawned threads
-    /// (diagnostics; zero when serial or when every cycle stayed under
-    /// the work gate).
-    pub fn spawned_cycles(&self) -> u64 {
-        self.spawned_cycles
-    }
-
     /// The audit report, when auditing is enabled.
     pub fn audit_report(&self) -> Option<&AuditReport> {
         self.auditor.as_deref().map(NetAuditor::report)
@@ -742,57 +565,10 @@ impl Network {
         &self.routers[self.ridx(c)]
     }
 
-    /// The workspace shard owning `router` (global index).
-    pub(crate) fn shard(&self, router: usize) -> &NocWorkspace {
-        &self.shards[self.parts.of(router)]
-    }
-
-    /// A read view over every workspace shard, dispatching global
-    /// router indices (instrumentation and conformance tests).
-    pub fn ws_view(&self) -> WsView<'_> {
-        WsView::new(&self.shards)
-    }
-
-    /// Partition of a router, with a branch instead of a table walk on
-    /// the serial path (the common case, and the one the perf baseline
-    /// gates).
-    #[inline]
-    fn part_of(&self, idx: usize) -> usize {
-        if self.shards.len() == 1 {
-            0
-        } else {
-            self.parts.of(idx)
-        }
-    }
-
-    #[inline]
-    fn wake_router(&mut self, idx: usize) {
-        if self.router_wake.len() == 1 {
-            self.router_wake[0].set(idx);
-        } else {
-            let p = self.parts.of(idx);
-            self.router_wake[p].set(idx - self.parts.start(p));
-        }
-    }
-
-    #[inline]
-    fn wake_nic_inject(&mut self, idx: usize) {
-        if self.nic_inject_wake.len() == 1 {
-            self.nic_inject_wake[0].set(idx);
-        } else {
-            let p = self.parts.of(idx);
-            self.nic_inject_wake[p].set(idx - self.parts.start(p));
-        }
-    }
-
-    #[inline]
-    fn wake_nic_eject(&mut self, idx: usize) {
-        if self.nic_eject_wake.len() == 1 {
-            self.nic_eject_wake[0].set(idx);
-        } else {
-            let p = self.parts.of(idx);
-            self.nic_eject_wake[p].set(idx - self.parts.start(p));
-        }
+    /// The structure-of-arrays lane store behind every router
+    /// (instrumentation and conformance tests).
+    pub fn workspace(&self) -> &NocWorkspace {
+        &self.ws
     }
 
     /// Iterates all routers.
@@ -819,7 +595,7 @@ impl Network {
         }
         let idx = self.ridx(src);
         self.nics[idx].enqueue(id, class);
-        self.wake_nic_inject(idx);
+        self.nic_inject_wake.set(idx);
         self.stats.offered += 1;
         id
     }
@@ -867,15 +643,12 @@ impl Network {
 
     /// Advances the network by one cycle.
     ///
-    /// The cycle runs in phases. The partition phase — injection plus
-    /// VC/switch allocation — touches only partition-local state and
-    /// may run one scoped thread per partition; everything that
-    /// crosses a partition boundary (link flit transfers, credit
-    /// returns, `injected_at` stamps, telemetry taps) is exchanged
-    /// through per-partition mailboxes replayed serially in
-    /// (partition, collection) order, which equals the global
-    /// ascending-index order of the serial stepper — so run
-    /// fingerprints are byte-identical at any shard count.
+    /// The cycle runs in phases: injection at the NICs, VC and switch
+    /// allocation at the routers, then the granted switch moves (link
+    /// flit transfers and credit returns) applied in allocation order,
+    /// then ejection. Deferring the moves until every router has
+    /// allocated means no router sees a flit or credit that another
+    /// router's grant produced in the same cycle.
     ///
     /// Each phase walks its wake list instead of every component: the
     /// lists hold a superset of the components with work, are visited
@@ -887,14 +660,14 @@ impl Network {
         let now = self.now;
         self.refresh_child_cong();
 
-        self.step_partitions(now);
-        self.merge_partitions(now);
+        self.inject_and_allocate(now);
+        self.apply_moves(now);
         self.drain_ejection(now);
 
         // Estimator upkeep.
         if let EstimatorState::Rca(rca) = &mut self.estimator {
             let routers = &self.routers;
-            let ws = WsView::new(&self.shards);
+            let ws = &self.ws;
             let mesh = self.mesh;
             let n = mesh.nodes_per_layer();
             rca.propagate(
@@ -921,7 +694,7 @@ impl Network {
             t.on_cycle_end(
                 now,
                 &self.routers,
-                &WsView::new(&self.shards),
+                &self.ws,
                 self.arena.live(),
                 self.stats.delivered,
                 &self.wide_down,
@@ -938,92 +711,14 @@ impl Network {
         self.now += 1;
     }
 
-    /// The parallel phase: injection and VC/switch allocation per
-    /// partition. With one partition (or one host core, or too little
-    /// buffered work to amortize a spawn) the partitions step inline
-    /// on this thread — same code, same mailboxes, same results.
+    /// Injection at every woken NI (one flit each), then VC and switch
+    /// allocation at every woken router, both in ascending index
+    /// order. Granted switch moves queue in `moves`.
     #[inline]
-    fn step_partitions(&mut self, now: Cycle) {
-        let np = self.parts.parts();
-        if np == 1 {
-            self.step_serial(now);
-            return;
-        }
-        let shared = StepShared {
-            view: View {
-                arena: &self.arena,
-                routing: &self.routing,
-                mesh: self.mesh,
-            },
-            now,
-            router_stages: self.params.noc.router_stages,
-            policy: self.params.arbitration,
-            max_hold: self.params.max_hold,
-            hold_slack: self.params.hold_slack,
-            tsb_extra: self.params.noc.tsb_width_factor.saturating_sub(1),
-            wide_down: &self.wide_down,
-            fault_blocked: self.faults.as_deref().map(FaultState::blocked_masks),
-        };
-
-        let run_parallel = self.spawn_threads
-            && self
-                .shards
-                .iter()
-                .map(NocWorkspace::total_buffered)
-                .sum::<usize>()
-                >= SPAWN_THRESHOLD;
-        let mut ctxs = Vec::with_capacity(np);
-        let mut routers = self.routers.as_mut_slice();
-        let mut nics = self.nics.as_mut_slice();
-        let rest = self
-            .shards
-            .iter_mut()
-            .zip(&mut self.nic_inject_wake)
-            .zip(&mut self.router_wake)
-            .zip(&mut self.scratch);
-        for (p, (((ws, iw), rw), sc)) in rest.enumerate() {
-            let len = self.parts.len(p);
-            let (r, tail) = std::mem::take(&mut routers).split_at_mut(len);
-            routers = tail;
-            let (n, tail) = std::mem::take(&mut nics).split_at_mut(len);
-            nics = tail;
-            ctxs.push(PartCtx {
-                start: self.parts.start(p),
-                ws,
-                routers: r,
-                nics: n,
-                inject_wake: iw,
-                router_wake: rw,
-                moves: &mut sc.moves,
-                stamps: &mut sc.stamps,
-            });
-        }
-        if run_parallel {
-            self.spawned_cycles += 1;
-            let sh = &shared;
-            std::thread::scope(|s| {
-                for ctx in &mut ctxs {
-                    s.spawn(move || step_partition(ctx, sh));
-                }
-            });
-        } else {
-            for ctx in &mut ctxs {
-                step_partition(ctx, &shared);
-            }
-        }
-    }
-
-    /// The single-partition step, inlined over the network's own
-    /// fields: the same injection and VA/SA loops as
-    /// [`step_partition`] (same visit order, same mailboxes), without
-    /// the context indirection — this is the serial hot path the perf
-    /// baseline gates.
-    #[inline]
-    fn step_serial(&mut self, now: Cycle) {
-        let ws = &mut self.shards[0];
-        let sc = &mut self.scratch[0];
-        let iw = &mut self.nic_inject_wake[0];
-        let rw = &mut self.router_wake[0];
+    fn inject_and_allocate(&mut self, now: Cycle) {
+        let ws = &mut self.ws;
+        let iw = &mut self.nic_inject_wake;
+        let rw = &mut self.router_wake;
         let router_stages = self.params.noc.router_stages;
 
         // Injection: one flit per woken NI per cycle.
@@ -1039,10 +734,9 @@ impl Network {
                 if self.nics[i].inject_step(
                     &mut self.routers[i],
                     ws,
-                    &self.arena,
+                    &mut self.arena,
                     now,
                     router_stages,
-                    &mut sc.stamps,
                 ) {
                     rw.set(i);
                 }
@@ -1080,27 +774,16 @@ impl Network {
                 };
                 self.routers[idx].step_va(ws, &view, p);
                 for m in self.routers[idx].step_sa(ws, &view, p) {
-                    sc.moves.push((idx, *m));
+                    self.moves.push((idx, *m));
                 }
             }
         }
     }
 
-    /// The serial merge at the cycle boundary: apply every partition's
-    /// mailbox in (partition, collection) order. Contiguous ascending
-    /// partitions make this exactly the order the serial stepper
-    /// produces: stamps partition-major = NIC-ascending, taps drained
-    /// router-ascending (idle routers hold empty taps), moves
-    /// partition-major = VA/SA visit order.
+    /// Drains the routers' telemetry taps in ascending router order,
+    /// then applies the cycle's switch moves in allocation order.
     #[inline]
-    fn merge_partitions(&mut self, now: Cycle) {
-        for sc in &mut self.scratch {
-            for &pid in &sc.stamps {
-                self.arena.get_mut(pid).injected_at = now;
-            }
-            sc.stamps.clear();
-        }
-
+    fn apply_moves(&mut self, now: Cycle) {
         if let Some(t) = &mut self.telemetry {
             for (idx, r) in self.routers.iter_mut().enumerate() {
                 let coord = r.coord();
@@ -1116,46 +799,39 @@ impl Network {
             }
         }
 
-        for p in 0..self.scratch.len() {
-            let mut moves = std::mem::take(&mut self.scratch[p].moves);
-            for (idx, m) in moves.drain(..) {
-                self.apply_move(idx, m, now);
-            }
-            self.scratch[p].moves = moves;
+        let mut moves = std::mem::take(&mut self.moves);
+        for (idx, m) in moves.drain(..) {
+            self.apply_move(idx, m, now);
         }
+        self.moves = moves;
     }
 
-    /// Ejection, assembly and estimator events, partition-major (=
-    /// global NIC-ascending order).
+    /// Ejection, assembly and estimator events, in ascending NIC order.
     #[inline]
     fn drain_ejection(&mut self, now: Cycle) {
         let mut credits = std::mem::take(&mut self.eject_credits);
         let mut events = std::mem::take(&mut self.eject_events);
-        for p in 0..self.parts.parts() {
-            let start = self.parts.start(p);
-            for w in 0..self.nic_eject_wake[p].words() {
-                let mut word = self.nic_eject_wake[p].word(w);
-                while word != 0 {
-                    let li = (w << 6) + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let i = start + li;
-                    credits.clear();
-                    self.nics[i].drain_eject(&mut self.arena, now, &mut credits, &mut events);
-                    for &(vc, k) in &credits {
-                        self.routers[i].return_credit(&mut self.shards[p], Direction::Local, vc, k);
-                    }
-                    for e in events.drain(..) {
-                        self.handle_event(e);
-                    }
-                    // Draining may have enqueued a tag ack for injection.
-                    if self.nics[i].inject_backlog() > 0 {
-                        self.nic_inject_wake[p].set(li);
-                    }
-                    // Back-pressured tails stay buffered and keep the NI
-                    // on the wake list.
-                    if self.nics[i].eject_buffered() == 0 {
-                        self.nic_eject_wake[p].clear(li);
-                    }
+        for w in 0..self.nic_eject_wake.words() {
+            let mut word = self.nic_eject_wake.word(w);
+            while word != 0 {
+                let i = (w << 6) + word.trailing_zeros() as usize;
+                word &= word - 1;
+                credits.clear();
+                self.nics[i].drain_eject(&mut self.arena, now, &mut credits, &mut events);
+                for &(vc, k) in &credits {
+                    self.routers[i].return_credit(&mut self.ws, Direction::Local, vc, k);
+                }
+                for e in events.drain(..) {
+                    self.handle_event(e);
+                }
+                // Draining may have enqueued a tag ack for injection.
+                if self.nics[i].inject_backlog() > 0 {
+                    self.nic_inject_wake.set(i);
+                }
+                // Back-pressured tails stay buffered and keep the NI
+                // on the wake list.
+                if self.nics[i].eject_buffered() == 0 {
+                    self.nic_eject_wake.clear(i);
                 }
             }
         }
@@ -1432,9 +1108,8 @@ impl Network {
                         routing: &self.routing,
                         mesh: self.mesh,
                     };
-                    let ws = &self.shards[self.part_of(idx)];
                     self.routers[idx].note_forward(
-                        ws,
+                        &self.ws,
                         bank,
                         kind.is_bank_write(),
                         service,
@@ -1461,9 +1136,7 @@ impl Network {
                 .neighbour(coord, in_dir)
                 .expect("input port has an upstream");
             let uidx = self.ridx(up);
-            let up_part = self.part_of(uidx);
-            let ws = &mut self.shards[up_part];
-            self.routers[uidx].return_credit(ws, in_dir.arrival_port(), m.in_vc, nflits);
+            self.routers[uidx].return_credit(&mut self.ws, in_dir.arrival_port(), m.in_vc, nflits);
         }
 
         // Deliver the flits.
@@ -1472,7 +1145,7 @@ impl Network {
                 for f in &m.flits {
                     self.nics[idx].accept_eject(m.out_vc, *f);
                 }
-                self.wake_nic_eject(idx);
+                self.nic_eject_wake.set(idx);
             }
             dir => {
                 let to = self
@@ -1482,11 +1155,9 @@ impl Network {
                 let tidx = self.ridx(to);
                 let in_port = dir.arrival_port().port();
                 let ready = now + self.params.noc.link_latency + self.params.noc.router_stages;
-                let to_part = self.part_of(tidx);
-                let ws = &mut self.shards[to_part];
                 for f in &m.flits {
                     self.routers[tidx].accept(
-                        ws,
+                        &mut self.ws,
                         in_port,
                         m.out_vc,
                         Flit {
@@ -1495,7 +1166,7 @@ impl Network {
                         },
                     );
                 }
-                self.wake_router(tidx);
+                self.router_wake.set(tidx);
                 if matches!(dir, Direction::Up | Direction::Down) {
                     self.stats.vertical_flits += nflits as u64;
                     if nflits > 1 {
@@ -2289,63 +1960,6 @@ mod tests {
         assert_eq!(a, b, "same seed, same faults, same run");
         let c = run(8);
         assert_ne!(a, c, "a different seed draws a different schedule");
-    }
-
-    #[test]
-    fn threaded_partitions_match_the_serial_stepper() {
-        // Heavy enough traffic to clear the spawn work gate, so the
-        // scoped-thread branch itself is exercised (the host may have
-        // one core; `spawn_threads` is forced on to cover it anyway).
-        let run = |shards: usize, force_threads: bool| {
-            let mut p = params(
-                RequestPathMode::RegionTsbs,
-                ArbitrationPolicy::BankAware {
-                    estimator: Estimator::WindowBased,
-                },
-            );
-            p.wb_window = 2;
-            p.noc.shards = shards;
-            let mut net = Network::new(p);
-            net.spawn_threads = force_threads;
-            for i in 0..600u64 {
-                let src = core(&net, ((i * 7) % 64) as u16);
-                let dst = cache(&net, ((i * 13) % 64) as u16);
-                let kind = if i % 2 == 0 {
-                    PacketKind::Writeback
-                } else {
-                    PacketKind::DataReply
-                };
-                net.inject(Packet::new(kind, src, dst, i, i));
-            }
-            let mut tokens: Vec<u64> = Vec::new();
-            for _ in 0..6000 {
-                net.step();
-                for node in 0..64u16 {
-                    tokens.extend(
-                        net.drain_delivered(cache(&net, node))
-                            .iter()
-                            .map(|p| p.token),
-                    );
-                }
-            }
-            assert_eq!(net.in_flight(), 0);
-            (
-                tokens,
-                net.stats().latency.mean(),
-                net.stats().vertical_flits,
-                net.stats().wide_tsb_flits,
-                net.spawned_cycles(),
-            )
-        };
-        let serial = run(1, false);
-        let threaded = run(4, true);
-        assert_eq!(serial.4, 0, "one partition never spawns");
-        assert!(threaded.4 > 0, "the threaded branch must have run");
-        assert_eq!(
-            (&serial.0, serial.1, serial.2, serial.3),
-            (&threaded.0, threaded.1, threaded.2, threaded.3),
-            "threaded partitions diverged from the serial stepper"
-        );
     }
 
     #[test]

@@ -154,23 +154,15 @@ impl Nic {
     /// One injection cycle: bind waiting packets to free local input
     /// VCs of their class, then send one flit from a bound VC with
     /// credit, round-robin. Returns `true` if a flit entered the
-    /// router (so the caller can wake it).
-    ///
-    /// Runs against a shared `&Arena` so every partition of the
-    /// sharded stepper can inject concurrently: instead of stamping
-    /// `injected_at` in place, the id of a packet whose head flit
-    /// entered the router this cycle is pushed to `stamps`, and the
-    /// network stamps the batch after the partition barrier (nothing
-    /// reads `injected_at` until delivery, so the deferral is
-    /// unobservable).
+    /// router (so the caller can wake it). A packet's `injected_at` is
+    /// stamped when its head flit enters the router.
     pub fn inject_step(
         &mut self,
         router: &mut Router,
         ws: &mut NocWorkspace,
-        arena: &Arena,
+        arena: &mut Arena,
         now: Cycle,
         router_stages: u64,
-        stamps: &mut Vec<PacketId>,
     ) -> bool {
         // Bind queue heads to free VCs in their class partition.
         for (ci, class) in CLASSES.iter().enumerate() {
@@ -202,7 +194,7 @@ impl Nic {
             let total = binding.total;
             let pid = binding.packet;
             if seq == 0 {
-                stamps.push(pid);
+                arena.get_mut(pid).injected_at = now;
                 self.injected += 1;
             }
             let flit = Flit {
@@ -353,24 +345,6 @@ mod tests {
         (nic, router, NocWorkspace::new(1, 6, 5), Arena::new())
     }
 
-    /// `inject_step` plus the post-barrier stamp application the
-    /// network performs, so tests see `injected_at` as before.
-    fn inject(
-        nic: &mut Nic,
-        router: &mut Router,
-        ws: &mut NocWorkspace,
-        arena: &mut Arena,
-        now: Cycle,
-        router_stages: u64,
-    ) -> bool {
-        let mut stamps = Vec::new();
-        let sent = nic.inject_step(router, ws, arena, now, router_stages, &mut stamps);
-        for pid in stamps {
-            arena.get_mut(pid).injected_at = now;
-        }
-        sent
-    }
-
     fn drain(
         nic: &mut Nic,
         arena: &mut Arena,
@@ -410,14 +384,14 @@ mod tests {
         let id = arena.insert(p);
         nic.enqueue(id, TrafficClass::Request);
         for cycle in 0..8 {
-            inject(&mut nic, &mut router, &mut ws, &mut arena, cycle, 2);
+            nic.inject_step(&mut router, &mut ws, &mut arena, cycle, 2);
             assert_eq!(
                 router.buffered_flits(&ws),
                 cycle as usize + 1,
                 "one flit per cycle"
             );
         }
-        inject(&mut nic, &mut router, &mut ws, &mut arena, 8, 2);
+        nic.inject_step(&mut router, &mut ws, &mut arena, 8, 2);
         assert_eq!(router.buffered_flits(&ws), 9, "writeback is 9 flits");
         assert_eq!(arena.get(id).injected_at, 0);
         assert_eq!(nic.injected, 1);
@@ -439,7 +413,7 @@ mod tests {
         // Only 5 credits per VC: the 6th flit stalls until a credit
         // returns.
         for cycle in 0..9 {
-            inject(&mut nic, &mut router, &mut ws, &mut arena, cycle, 2);
+            nic.inject_step(&mut router, &mut ws, &mut arena, cycle, 2);
         }
         assert_eq!(router.buffered_flits(&ws), 5);
         // The router forwards two flits downstream, freeing the buffer
@@ -448,8 +422,8 @@ mod tests {
         ws.pop_front(0, lane);
         ws.pop_front(0, lane);
         nic.return_credit(0, 2);
-        inject(&mut nic, &mut router, &mut ws, &mut arena, 9, 2);
-        inject(&mut nic, &mut router, &mut ws, &mut arena, 10, 2);
+        nic.inject_step(&mut router, &mut ws, &mut arena, 9, 2);
+        nic.inject_step(&mut router, &mut ws, &mut arena, 10, 2);
         assert_eq!(router.buffered_flits(&ws), 5, "two more flits entered");
     }
 
@@ -460,8 +434,8 @@ mod tests {
         let rsp = arena.insert(Packet::new(PacketKind::Ack, coord(), coord(), 0, 0));
         nic.enqueue(req, TrafficClass::Request);
         nic.enqueue(rsp, TrafficClass::Response);
-        inject(&mut nic, &mut router, &mut ws, &mut arena, 0, 2);
-        inject(&mut nic, &mut router, &mut ws, &mut arena, 1, 2);
+        nic.inject_step(&mut router, &mut ws, &mut arena, 0, 2);
+        nic.inject_step(&mut router, &mut ws, &mut arena, 1, 2);
         // Request lands in VC 0..2, response in VC 4..6.
         assert_eq!(router.input_vc(&ws, Direction::Local.port(), 0).len(), 1);
         let rsp_vcs: usize = (4..6)
@@ -521,7 +495,7 @@ mod tests {
         assert!(events.is_empty(), "ack is sent, not an event at the child");
         // The ack is queued for injection in the response class.
         assert_eq!(nic.inject_backlog(), 1);
-        inject(&mut nic, &mut router, &mut ws, &mut arena, 11, 2);
+        nic.inject_step(&mut router, &mut ws, &mut arena, 11, 2);
         let v = TrafficClass::Response.vc_range(6).start;
         assert_eq!(router.input_vc(&ws, Direction::Local.port(), v).len(), 1);
     }

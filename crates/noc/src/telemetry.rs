@@ -28,7 +28,7 @@
 
 use crate::packet::TrafficClass;
 use crate::router::{Router, PORTS};
-use crate::workspace::WsView;
+use crate::workspace::NocWorkspace;
 use snoc_common::geom::{Coord, Direction, Layer};
 use snoc_common::stats::{Accumulator, Histogram};
 use snoc_common::Cycle;
@@ -365,7 +365,7 @@ impl NetTelemetry {
         &mut self,
         now: Cycle,
         routers: &[Router],
-        ws: &WsView<'_>,
+        ws: &NocWorkspace,
         in_flight: usize,
         delivered: u64,
         wide_down: &[bool],

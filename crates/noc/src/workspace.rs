@@ -41,18 +41,10 @@ const FLAG_HEAD: u8 = 1;
 const FLAG_TAIL: u8 = 1 << 1;
 
 /// The structure-of-arrays store backing every router's VC, credit and
-/// hold state. One instance serves the whole network — or, under the
-/// sharded stepper, one contiguous partition of it: a workspace built
-/// with [`NocWorkspace::with_base`] holds the lanes of routers
-/// `base..base + routers` and keeps accepting *global* router indices
-/// and [`VcKey`]s, so routers and instrumentation are oblivious to
-/// which shard owns them. See the module docs for the lane layout.
+/// hold state. One instance serves the whole network. See the module
+/// docs for the lane layout.
 #[derive(Debug, Clone)]
 pub struct NocWorkspace {
-    /// Global index of the first router served (0 when unsharded).
-    base: usize,
-    /// Lane-space offset of `base` (`base * PORTS * vcs`).
-    lane_offset: usize,
     routers: usize,
     vcs: usize,
     depth: usize,
@@ -93,13 +85,6 @@ impl NocWorkspace {
     /// Creates the store for `routers` routers with `vcs` VCs of
     /// `depth` flits on each of the [`PORTS`] ports.
     pub fn new(routers: usize, vcs: usize, depth: usize) -> Self {
-        Self::with_base(0, routers, vcs, depth)
-    }
-
-    /// Creates a store serving the contiguous partition of `routers`
-    /// routers starting at global index `base`. All accessors keep
-    /// taking global router indices; the offset is internal.
-    pub fn with_base(base: usize, routers: usize, vcs: usize, depth: usize) -> Self {
         assert!(
             PORTS * vcs <= 64,
             "per-router (port, vc) space must fit the allocation bitmasks"
@@ -107,8 +92,6 @@ impl NocWorkspace {
         assert!(vcs <= u8::MAX as usize && depth <= u8::MAX as usize);
         let lanes = routers * PORTS * vcs;
         Self {
-            base,
-            lane_offset: base * PORTS * vcs,
             routers,
             vcs,
             depth,
@@ -133,8 +116,8 @@ impl NocWorkspace {
     /// full credits, zero occupancy. The flit slots themselves are
     /// left as-is — `len == 0` makes them unreadable, and every write
     /// path stores before the matching read — so a reset store is
-    /// observably identical to a fresh [`NocWorkspace::with_base`]
-    /// with the same geometry.
+    /// observably identical to a fresh [`NocWorkspace::new`] with the
+    /// same geometry.
     pub fn reset(&mut self) {
         self.head.fill(0);
         self.len.fill(0);
@@ -151,23 +134,6 @@ impl NocWorkspace {
         self.routers
     }
 
-    /// Global index of the first router served.
-    pub fn base_router(&self) -> usize {
-        self.base
-    }
-
-    /// `true` when this store holds `router`'s lanes.
-    #[inline]
-    pub fn owns(&self, router: usize) -> bool {
-        router.wrapping_sub(self.base) < self.routers
-    }
-
-    /// Total buffered flits across every served router (the work
-    /// estimate gating thread spawns in the sharded stepper).
-    pub fn total_buffered(&self) -> usize {
-        self.buffered.iter().map(|&b| b as usize).sum()
-    }
-
     /// VCs per port.
     pub fn vcs(&self) -> usize {
         self.vcs
@@ -178,19 +144,18 @@ impl NocWorkspace {
         self.depth
     }
 
-    /// First lane of `router`'s flat `(port, vc)` block. `router` is a
-    /// global index; the returned lane is local to this store.
+    /// First lane of `router`'s flat `(port, vc)` block.
     #[inline]
     pub(crate) fn router_base(&self, router: usize) -> usize {
-        debug_assert!(self.owns(router), "router {router} outside this shard");
-        (router - self.base) * PORTS * self.vcs
+        debug_assert!(router < self.routers, "router {router} out of range");
+        router * PORTS * self.vcs
     }
 
-    /// The (store-local) lane index of global `(router, port, vc)`.
+    /// The lane index of `(router, port, vc)`.
     #[inline]
     pub fn lane(&self, router: usize, port: usize, vc: usize) -> usize {
-        debug_assert!(self.owns(router), "router {router} outside this shard");
-        VcKey::compose(router - self.base, port, vc, PORTS, self.vcs).lane()
+        debug_assert!(router < self.routers, "router {router} out of range");
+        VcKey::compose(router, port, vc, PORTS, self.vcs).lane()
     }
 
     // ---- input VC ring ------------------------------------------------
@@ -269,7 +234,7 @@ impl NocWorkspace {
         self.f_flags[slot] = (flit.head as u8 * FLAG_HEAD) | (flit.tail as u8 * FLAG_TAIL);
         self.f_ready[slot] = flit.ready_at;
         self.len[lane] = (len + 1) as u8;
-        self.buffered[router - self.base] += 1;
+        self.buffered[router] += 1;
         len == 0
     }
 
@@ -286,7 +251,7 @@ impl NocWorkspace {
         }
         self.head[lane] = h as u8;
         self.len[lane] = len - 1;
-        self.buffered[router - self.base] -= 1;
+        self.buffered[router] -= 1;
         flit
     }
 
@@ -392,13 +357,13 @@ impl NocWorkspace {
     /// Total buffered flits in a router (all ports, all VCs).
     #[inline]
     pub fn buffered(&self, router: usize) -> usize {
-        self.buffered[router - self.base] as usize
+        self.buffered[router] as usize
     }
 
     /// Buffer occupancy of a router as a 0..=255 fraction of capacity.
     #[inline]
     pub fn occupancy_byte(&self, router: usize) -> u8 {
-        (self.buffered[router - self.base] as usize * 255 / self.capacity) as u8
+        (self.buffered[router] as usize * 255 / self.capacity) as u8
     }
 
     // ---- typed handles ------------------------------------------------
@@ -411,9 +376,9 @@ impl NocWorkspace {
         }
     }
 
-    /// A read handle on the input VC named by a flat (global) key.
+    /// A read handle on the input VC named by a flat key.
     pub fn vc_by_key(&self, key: VcKey) -> VcRef<'_> {
-        let lane = key.lane() - self.lane_offset;
+        let lane = key.lane();
         debug_assert!(lane < self.route.len());
         VcRef { ws: self, lane }
     }
@@ -440,9 +405,9 @@ pub struct VcRef<'a> {
 }
 
 impl VcRef<'_> {
-    /// The flat (global) key of this VC.
+    /// The flat key of this VC.
     pub fn key(&self) -> VcKey {
-        VcKey::from_lane(self.lane + self.ws.lane_offset)
+        VcKey::from_lane(self.lane)
     }
 
     /// Buffered flit count.
@@ -536,66 +501,6 @@ impl PortRef<'_> {
         range
             .into_iter()
             .any(|v| self.ws.owner_is_none(self.base + v) && self.ws.credit(self.base + v) > 0)
-    }
-}
-
-/// A read view over every workspace shard of a network, dispatching
-/// global router indices to the owning shard.
-///
-/// The sharded stepper physically splits the lane store into one
-/// [`NocWorkspace`] per partition so partitions can step under
-/// disjoint `&mut` borrows; instrumentation that roams the whole mesh
-/// — the invariant auditor's link-conservation check, telemetry's
-/// end-of-cycle sweep, the RCA occupancy probe — reads through this
-/// view instead and stays oblivious to the partitioning. With one
-/// shard (the serial path) the dispatch is a single bounds check.
-#[derive(Clone, Copy)]
-pub struct WsView<'a> {
-    shards: &'a [NocWorkspace],
-}
-
-impl<'a> WsView<'a> {
-    /// Wraps the partition-ordered shard list.
-    pub fn new(shards: &'a [NocWorkspace]) -> Self {
-        debug_assert!(!shards.is_empty());
-        Self { shards }
-    }
-
-    /// The shard owning `router`. Shards are few (one per partition)
-    /// and contiguous, so a linear walk beats any index structure.
-    #[inline]
-    fn shard_for(&self, router: usize) -> &'a NocWorkspace {
-        for ws in self.shards {
-            if ws.owns(router) {
-                return ws;
-            }
-        }
-        panic!("router {router} outside every shard");
-    }
-
-    /// Total routers served across all shards.
-    pub fn routers(&self) -> usize {
-        self.shards.iter().map(NocWorkspace::routers).sum()
-    }
-
-    /// A read handle on one input VC, by global router index.
-    pub fn vc(&self, router: usize, port: usize, vc: usize) -> VcRef<'a> {
-        self.shard_for(router).vc(router, port, vc)
-    }
-
-    /// A read handle on one output port, by global router index.
-    pub fn port(&self, router: usize, port: usize) -> PortRef<'a> {
-        self.shard_for(router).port(router, port)
-    }
-
-    /// Total buffered flits in a router (all ports, all VCs).
-    pub fn buffered(&self, router: usize) -> usize {
-        self.shard_for(router).buffered(router)
-    }
-
-    /// Buffer occupancy of a router as a 0..=255 fraction of capacity.
-    pub fn occupancy_byte(&self, router: usize) -> u8 {
-        self.shard_for(router).occupancy_byte(router)
     }
 }
 
@@ -730,44 +635,6 @@ mod tests {
             !ws.port(0, port).has_free_credited_vc(0..1),
             "owned VCs are not free"
         );
-    }
-
-    #[test]
-    fn sharded_stores_keep_global_indexing() {
-        // The same traffic through an unsharded store and a two-shard
-        // split: global indices, keys, counters and the WsView
-        // dispatch must all agree.
-        let mut whole = NocWorkspace::new(128, 6, 5);
-        let mut shards = vec![
-            NocWorkspace::with_base(0, 64, 6, 5),
-            NocWorkspace::with_base(64, 64, 6, 5),
-        ];
-        assert!(shards[1].owns(64) && shards[1].owns(127));
-        assert!(!shards[1].owns(63) && !shards[0].owns(64));
-        let routers = [0usize, 63, 64, 70, 127];
-        for &router in &routers {
-            let f = flit(7, 0, true, false, 3);
-            let lane = whole.lane(router, 2, 1);
-            whole.push_back(router, lane, f);
-            let s = &mut shards[router / 64];
-            let lane = s.lane(router, 2, 1);
-            s.push_back(router, lane, f);
-            let key = VcKey::compose(router, 2, 1, PORTS, 6);
-            assert_eq!(s.vc(router, 2, 1).key(), key, "keys stay global");
-            assert_eq!(whole.vc(router, 2, 1).key(), key);
-            assert_eq!(s.vc_by_key(key).len(), 1, "global keys dispatch");
-        }
-        assert_eq!(shards[0].total_buffered(), 2);
-        assert_eq!(shards[1].total_buffered(), 3);
-        let view = WsView::new(&shards);
-        assert_eq!(view.routers(), 128);
-        for &router in &routers {
-            assert_eq!(view.buffered(router), whole.buffered(router));
-            assert_eq!(view.occupancy_byte(router), whole.occupancy_byte(router));
-            let f = view.vc(router, 2, 1).front().expect("flit visible");
-            assert_eq!((f.packet, f.ready_at), (PacketId::new(7), 3));
-            assert_eq!(view.port(router, 2).credits(1), 5);
-        }
     }
 
     #[test]

@@ -525,20 +525,19 @@ fn allocation_sweep_never_double_grants_and_credits_stay_bounded() {
 }
 
 /// Every observable piece of lane state must agree between two
-/// networks, router by router (the sharded stepper against the serial
-/// reference).
+/// networks, router by router.
 fn assert_networks_match(a: &Network, b: &Network, cycle: Cycle) {
     let vcs = a.params().noc.vcs_per_port;
-    let (va, vb) = (a.ws_view(), b.ws_view());
-    assert_eq!(va.routers(), vb.routers());
-    for i in 0..va.routers() {
+    let (wa, wb) = (a.workspace(), b.workspace());
+    assert_eq!(wa.routers(), wb.routers());
+    for i in 0..wa.routers() {
         assert_eq!(
-            va.buffered(i),
-            vb.buffered(i),
+            wa.buffered(i),
+            wb.buffered(i),
             "cycle {cycle}: buffered at router {i}"
         );
         for port in 0..PORTS {
-            let (pa, pb) = (va.port(i, port), vb.port(i, port));
+            let (pa, pb) = (wa.port(i, port), wb.port(i, port));
             for vc in 0..vcs {
                 assert_eq!(
                     pa.credits(vc),
@@ -550,7 +549,7 @@ fn assert_networks_match(a: &Network, b: &Network, cycle: Cycle) {
                     pb.owner(vc),
                     "cycle {cycle}: owner at {i}/{port}/{vc}"
                 );
-                let (qa, qb) = (va.vc(i, port, vc), vb.vc(i, port, vc));
+                let (qa, qb) = (wa.vc(i, port, vc), wb.vc(i, port, vc));
                 assert_eq!(
                     qa.len(),
                     qb.len(),
@@ -574,59 +573,77 @@ fn assert_networks_match(a: &Network, b: &Network, cycle: Cycle) {
     }
 }
 
-/// Drives one serial network and sharded clones of it in randomized
-/// lockstep at an arbitrary geometry: identical traffic into each,
-/// deliveries compared node by node every cycle, every lane of every
-/// router compared periodically, and aggregate statistics compared at
-/// the end.
-fn lockstep_sharded(
+/// Warm-state reuse's contract: `Network::reset` must hand back a
+/// network that is move-for-move identical to a freshly constructed
+/// one. A network is dirtied with randomized traffic (reset while
+/// packets are still in flight, so buffers, arenas, holds and
+/// arbiter state are all non-trivial) and reset with the same
+/// parameters. It is then driven in randomized lockstep against a
+/// brand-new network at an arbitrary geometry: identical traffic into
+/// both, deliveries compared node by node every cycle, every lane of
+/// every router compared periodically, and aggregate statistics
+/// compared at the end.
+fn lockstep_reset_vs_fresh(
     width: u8,
     height: u8,
     regions: usize,
-    shard_counts: &[usize],
     horizon: u64,
     drain: u64,
     min_offered: usize,
 ) {
-    let mk = |shards: usize| {
-        Network::new(NetworkParams {
-            noc: NocConfig {
-                width,
-                height,
-                shards,
-                ..NocConfig::default()
-            },
-            path_mode: RequestPathMode::RegionTsbs,
-            regions,
-            placement: TsbPlacement::Corner,
-            parent_hops: 2,
-            arbitration: ArbitrationPolicy::BankAware {
-                estimator: Estimator::WindowBased,
-            },
-            wb_window: 4,
-            bank_read_latency: 3,
-            bank_write_latency: 33,
-            cache_outbox_cap: 4,
-            core_outbox_cap: 64,
-            max_hold: 99,
-            hold_slack: 0,
-            audit: None,
-            telemetry: None,
-            faults: None,
-        })
+    let params = NetworkParams {
+        noc: NocConfig {
+            width,
+            height,
+            ..NocConfig::default()
+        },
+        path_mode: RequestPathMode::RegionTsbs,
+        regions,
+        placement: TsbPlacement::Corner,
+        parent_hops: 2,
+        arbitration: ArbitrationPolicy::BankAware {
+            estimator: Estimator::WindowBased,
+        },
+        wb_window: 4,
+        bank_read_latency: 3,
+        bank_write_latency: 33,
+        cache_outbox_cap: 4,
+        core_outbox_cap: 64,
+        max_hold: 99,
+        hold_slack: 0,
+        audit: None,
+        telemetry: None,
+        faults: None,
     };
-    let mut nets: Vec<Network> = shard_counts.iter().map(|&s| mk(s)).collect();
-    let npl = nets[0].mesh().nodes_per_layer();
-    let mut rng = SimRng::for_stream(0x5AAD, ((width as u64) << 8) | height as u64);
+    let stream = ((width as u64) << 8) | height as u64;
+
+    // Dirty a network: sustained traffic, stopped mid-flight.
+    let mut reused = Network::new(params);
+    let mesh = reused.mesh();
+    let npl = mesh.nodes_per_layer();
+    let mut dirt = SimRng::for_stream(0xD1E7, stream);
+    for _ in 0..300 {
+        if dirt.chance(0.7) {
+            let src = mesh.coord(NodeId::new(dirt.below(npl) as u16), Layer::Core);
+            let d = dirt.below(npl) as u16;
+            let dst = mesh.coord(NodeId::new(d), Layer::Cache);
+            reused.inject(Packet::new(PacketKind::BankWrite, src, dst, d as u64, 0));
+        }
+        reused.step();
+    }
+    assert!(reused.in_flight() > 0, "dirtying left nothing in flight");
+    reused.reset(params);
+
+    let mut nets = [reused, Network::new(params)];
+    let mut rng = SimRng::for_stream(0x5AAD, stream);
     let mut delivered = 0usize;
     let mut offered = 0usize;
-
     for cycle in 0..horizon + drain {
         if cycle < horizon && rng.chance(0.5) {
-            // One identical randomized packet into every network.
+            // One identical randomized packet into both networks.
             let token = offered as u64;
-            let s = rng.below(npl) as u16;
-            let d = rng.below(npl) as u16;
+            let s = NodeId::new(rng.below(npl) as u16);
+            let d = NodeId::new(rng.below(npl) as u16);
             let (kind, up) = match rng.below(5) {
                 0 => (PacketKind::BankRead, true),
                 1 => (PacketKind::BankWrite, true),
@@ -634,19 +651,12 @@ fn lockstep_sharded(
                 3 => (PacketKind::DataReply, false),
                 _ => (PacketKind::Inv, false),
             };
+            let (src, dst) = if up {
+                (mesh.coord(s, Layer::Core), mesh.coord(d, Layer::Cache))
+            } else {
+                (mesh.coord(s, Layer::Cache), mesh.coord(d, Layer::Core))
+            };
             for net in &mut nets {
-                let mesh = net.mesh();
-                let (src, dst) = if up {
-                    (
-                        mesh.coord(NodeId::new(s), Layer::Core),
-                        mesh.coord(NodeId::new(d), Layer::Cache),
-                    )
-                } else {
-                    (
-                        mesh.coord(NodeId::new(s), Layer::Cache),
-                        mesh.coord(NodeId::new(d), Layer::Core),
-                    )
-                };
                 net.inject(Packet::new(kind, src, dst, token, token));
             }
             offered += 1;
@@ -656,201 +666,53 @@ fn lockstep_sharded(
         }
         // Deliveries must agree node by node, cycle by cycle.
         for node in 0..2 * npl {
-            let mesh = nets[0].mesh();
             let at = if node < npl {
                 mesh.coord(NodeId::new(node as u16), Layer::Core)
             } else {
                 mesh.coord(NodeId::new((node - npl) as u16), Layer::Cache)
             };
-            let tokens = |net: &mut Network| -> Vec<u64> {
-                net.drain_delivered(at).iter().map(|p| p.token).collect()
-            };
-            let (serial, sharded) = nets.split_first_mut().expect("at least one network");
-            let ta = tokens(serial);
-            for (i, net) in sharded.iter_mut().enumerate() {
-                assert_eq!(
-                    ta,
-                    tokens(net),
-                    "cycle {cycle}: deliveries at {at} ({} shards)",
-                    shard_counts[i + 1]
-                );
-            }
+            let [a, b] = &mut nets;
+            let ta: Vec<u64> = a.drain_delivered(at).iter().map(|p| p.token).collect();
+            let tb: Vec<u64> = b.drain_delivered(at).iter().map(|p| p.token).collect();
+            assert_eq!(ta, tb, "cycle {cycle}: deliveries at {at} (reset vs fresh)");
             delivered += ta.len();
         }
         if cycle % 64 == 0 || cycle >= horizon + drain - 100 {
-            for i in 1..nets.len() {
-                assert_networks_match(&nets[0], &nets[i], cycle);
-            }
+            assert_networks_match(&nets[0], &nets[1], cycle);
         }
     }
 
     assert!(offered > min_offered, "traffic too thin: {offered} offered");
-    assert_eq!(delivered, offered, "every packet arrives everywhere");
+    assert_eq!(delivered, offered, "every packet arrives in both");
     for net in &nets {
         assert_eq!(net.in_flight(), 0, "runs must drain");
         assert_eq!(net.stats().delivered, offered as u64);
     }
-    let s0 = nets[0].stats();
-    for net in &nets[1..] {
-        let s = net.stats();
-        assert_eq!(
-            (s.latency.mean(), s.vertical_flits, s.tag_acks),
-            (s0.latency.mean(), s0.vertical_flits, s0.tag_acks),
-            "aggregate statistics must be byte-identical"
-        );
-    }
+    let (sa, sb) = (nets[0].stats(), nets[1].stats());
+    assert_eq!(
+        (sa.latency.mean(), sa.vertical_flits, sa.tag_acks),
+        (sb.latency.mean(), sb.vertical_flits, sb.tag_acks),
+        "reset network's statistics must match a fresh one's"
+    );
 }
 
-/// The randomized lockstep of the whole network under the partitioned
-/// stepper at the paper's 8x8 point: identical traffic drives a serial
-/// network and sharded ones (2 and 4 partitions).
+/// The reset-vs-fresh lockstep at the paper's 8x8 / 4-region point.
 #[test]
-fn partitioned_stepper_stays_in_lockstep_with_the_serial_network() {
-    lockstep_sharded(8, 8, 4, &[1, 2, 4], 1_500, 1_000, 500);
+fn reset_network_stays_in_lockstep_with_a_fresh_one() {
+    lockstep_reset_vs_fresh(8, 8, 4, 1_500, 1_000, 500);
 }
 
 /// The same lockstep at a non-square mesh: 4x8, 4 regions (2x2 tiles
-/// of 2x4 nodes), pinning `PartitionMap` band alignment when the band
-/// size (2 * width routers) differs between the mesh axes.
+/// of 2x4 nodes).
 #[test]
-fn partitioned_stepper_lockstep_holds_at_4x8() {
-    lockstep_sharded(4, 8, 4, &[1, 2, 4], 1_200, 900, 300);
+fn reset_network_lockstep_holds_at_4x8() {
+    lockstep_reset_vs_fresh(4, 8, 4, 1_200, 900, 300);
 }
 
-/// The same lockstep at 16x16 with 16 regions: 512 routers, 21504
-/// VC lanes — `VcKey` packing and shard partitioning well beyond the
-/// 8x8 point (shorter horizon; each cycle steps 4x the routers).
+/// The same lockstep at 16x16 with 16 regions: 512 routers, 21504 VC
+/// lanes — `VcKey` packing and warm reset well beyond the 8x8 point
+/// (shorter horizon; each cycle steps 4x the routers).
 #[test]
-fn partitioned_stepper_lockstep_holds_at_16x16() {
-    lockstep_sharded(16, 16, 16, &[1, 2, 4], 400, 900, 100);
-}
-
-/// Warm-state reuse's contract: `Network::reset` must hand back a
-/// network that is move-for-move identical to a freshly constructed
-/// one. A network is dirtied with randomized traffic (reset while
-/// packets are still in flight, so buffers, arenas, holds and RNG-fed
-/// arbiter state are all non-trivial), reset with the same parameters,
-/// then driven in lockstep against a brand-new network — at 1 shard
-/// and at 4.
-#[test]
-fn reset_network_stays_in_lockstep_with_a_fresh_one() {
-    for shards in [1usize, 4] {
-        let params = NetworkParams {
-            noc: NocConfig {
-                shards,
-                ..NocConfig::default()
-            },
-            path_mode: RequestPathMode::RegionTsbs,
-            regions: 4,
-            placement: TsbPlacement::Corner,
-            parent_hops: 2,
-            arbitration: ArbitrationPolicy::BankAware {
-                estimator: Estimator::WindowBased,
-            },
-            wb_window: 4,
-            bank_read_latency: 3,
-            bank_write_latency: 33,
-            cache_outbox_cap: 4,
-            core_outbox_cap: 64,
-            max_hold: 99,
-            hold_slack: 0,
-            audit: None,
-            telemetry: None,
-            faults: None,
-        };
-
-        // Dirty a network: sustained traffic, stopped mid-flight.
-        let mut reused = Network::new(params);
-        let mut dirt = SimRng::for_stream(0xD1E7, shards as u64);
-        for _ in 0..300 {
-            if dirt.chance(0.7) {
-                let s = dirt.below(64) as u16;
-                let d = dirt.below(64) as u16;
-                let mesh = reused.mesh();
-                let src = mesh.coord(NodeId::new(s), Layer::Core);
-                let dst = mesh.coord(NodeId::new(d), Layer::Cache);
-                reused.inject(Packet::new(PacketKind::BankWrite, src, dst, s as u64, 0));
-            }
-            reused.step();
-        }
-        assert!(reused.in_flight() > 0, "dirtying left nothing in flight");
-        reused.reset(params);
-
-        let mut nets = [reused, Network::new(params)];
-        let mut rng = SimRng::for_stream(0x5AAD, 1);
-        let mut delivered = 0usize;
-        let mut offered = 0usize;
-        let horizon = 800u64;
-        for cycle in 0..horizon + 700 {
-            if cycle < horizon && rng.chance(0.5) {
-                let token = offered as u64;
-                let s = rng.below(64) as u16;
-                let d = rng.below(64) as u16;
-                let (kind, up) = match rng.below(5) {
-                    0 => (PacketKind::BankRead, true),
-                    1 => (PacketKind::BankWrite, true),
-                    2 => (PacketKind::Writeback, true),
-                    3 => (PacketKind::DataReply, false),
-                    _ => (PacketKind::Inv, false),
-                };
-                for net in &mut nets {
-                    let mesh = net.mesh();
-                    let (src, dst) = if up {
-                        (
-                            mesh.coord(NodeId::new(s), Layer::Core),
-                            mesh.coord(NodeId::new(d), Layer::Cache),
-                        )
-                    } else {
-                        (
-                            mesh.coord(NodeId::new(s), Layer::Cache),
-                            mesh.coord(NodeId::new(d), Layer::Core),
-                        )
-                    };
-                    net.inject(Packet::new(kind, src, dst, token, token));
-                }
-                offered += 1;
-            }
-            for net in &mut nets {
-                net.step();
-            }
-            for node in 0..128u16 {
-                let mesh = nets[0].mesh();
-                let at = if node < 64 {
-                    mesh.coord(NodeId::new(node), Layer::Core)
-                } else {
-                    mesh.coord(NodeId::new(node - 64), Layer::Cache)
-                };
-                let [a, b] = &mut nets;
-                let ta: Vec<u64> = a.drain_delivered(at).iter().map(|p| p.token).collect();
-                let tb: Vec<u64> = b.drain_delivered(at).iter().map(|p| p.token).collect();
-                assert_eq!(
-                    ta, tb,
-                    "cycle {cycle}: deliveries at {at} (reset vs fresh, {shards} shard(s))"
-                );
-                delivered += ta.len();
-            }
-            if cycle % 64 == 0 || cycle >= horizon + 600 {
-                assert_networks_match(&nets[0], &nets[1], cycle);
-            }
-        }
-
-        assert!(offered > 250, "traffic too thin: {offered} offered");
-        assert_eq!(delivered, offered, "every packet arrives in both");
-        let (sa, sb) = (nets[0].stats(), nets[1].stats());
-        assert_eq!(
-            (
-                sa.delivered,
-                sa.latency.mean(),
-                sa.vertical_flits,
-                sa.tag_acks
-            ),
-            (
-                sb.delivered,
-                sb.latency.mean(),
-                sb.vertical_flits,
-                sb.tag_acks
-            ),
-            "reset network's statistics must match a fresh one's ({shards} shard(s))"
-        );
-    }
+fn reset_network_lockstep_holds_at_16x16() {
+    lockstep_reset_vs_fresh(16, 16, 16, 400, 900, 100);
 }
