@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 build+test, formatting, workspace-wide lints, the
-# audited conformance leg, a sweep determinism smoke test (SNOC_THREADS
-# must not change a repro binary's stdout), a determinism leg
-# (repeated, audited and telemetry runs must match), a
-# strict-CLI check (a typo'd flag must fail without touching the
-# checked-in baseline), a sweep-cache leg (a warm rerun must be
-# byte-identical, cache-served, and at least 2x faster), a perf smoke
-# gated against the tracked baseline, a telemetry smoke, the audited
-# fault campaign plus a repro-faults smoke, a repro-scaling smoke, a
+# CI gate: tier-1 build+test, formatting, workspace-wide lints, every
+# test of every workspace crate in release (among them the audited
+# all-experiment sweep, the determinism and FullStack-digest pins, the
+# fault campaign, the serve, cache and conformance suites and every
+# unit test), a sweep determinism smoke test (SNOC_THREADS must not
+# change a repro binary's stdout), a strict-CLI check (a typo'd flag
+# must fail without touching the checked-in baseline), a sweep-cache
+# leg (a warm rerun must be byte-identical, cache-served, and at least
+# 2x faster), a perf smoke gated against the tracked baseline, a
+# telemetry smoke, a repro-faults smoke, a repro-scaling smoke, a
 # snoc-serve smoke (daemon simulates a cell once, serves the repeat
 # from cache, dedups an identical resubmission, and shuts down
 # cleanly), a byte-identity leg (every legacy results/ file must
@@ -28,8 +29,8 @@ cargo fmt --all -- --check
 echo "== lints: clippy over the workspace, warnings are errors =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== audit: every experiment invariant-clean at quick scale =="
-cargo test --release -q -p snoc-core --test audit
+echo "== workspace: every crate's tests in release =="
+cargo test --release --workspace -q
 
 echo "== sweep smoke: SNOC_THREADS=1 vs 4 stdout must be identical =="
 tmp="$(mktemp -d)"
@@ -67,9 +68,6 @@ if [ $((t_warm * 2)) -gt "$t_cold" ]; then
 fi
 echo "ok: warm rerun identical, served from cache, $((t_cold / t_warm))x faster"
 
-echo "== determinism: fingerprints repeat run to run, audited and with telemetry =="
-cargo test --release -q -p snoc-core --test determinism
-
 echo "== strict CLI: a typo'd flag must fail before any file is written =="
 baseline_hash="$(sha256sum BENCH_hotpath.json)"
 if cargo run --release -q -p snoc-bench --bin repro-perf -- --asert-within 8 \
@@ -105,9 +103,6 @@ test -s "$tmp/results/telemetry/fig6_util_heatmap.csv"
 test -s "$tmp/results/telemetry/fig6_hold_heatmap.csv"
 test -s "$tmp/results/telemetry/fig6_latency_hist.csv"
 test -s "$tmp/results/telemetry/fig6_trace.jsonl"
-
-echo "== faults: audited campaign conservation-clean and deterministic =="
-cargo test --release -q -p snoc-core --test faults
 
 echo "== faults smoke: repro-faults writes the campaign table =="
 cargo run --release -q -p snoc-bench --bin repro-faults -- --smoke \

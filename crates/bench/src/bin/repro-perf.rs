@@ -1,9 +1,11 @@
 //! Tracked performance baseline for the simulator hot path.
 //!
 //! Times the workloads the perf trajectory is anchored on — the bare
-//! network-step kernel, one full Quick-scale fig6 cell, and the
-//! Quick-scale fig6 sweep both cold (caching and warm reuse off) and
-//! warm (cache-hit steady state) — and writes `BENCH_hotpath.json`
+//! network-step kernel, one full Quick-scale fig6 cell, a core-bound
+//! Quick cell (calculix, whose near-idle L2 leaves the per-cycle fixed
+//! costs exposed), one Quick 16x16/K16 cell, and the Quick-scale fig6
+//! sweep both cold (caching and warm reuse off) and warm (cache-hit
+//! steady state) — and writes `BENCH_hotpath.json`
 //! (override with `--out <path>`) so every PR lands on a
 //! machine-readable perf record.
 //!
@@ -120,6 +122,25 @@ fn main() {
         System::homogeneous(Scale::Quick.apply(Scenario::SttRam4TsbWb.config()), app).run()
     });
 
+    // A core-bound cell: the L2 is almost idle, so the host cost is
+    // what every cycle pays regardless of traffic.
+    let calculix = t3::by_name("calculix").unwrap();
+    let core_bound_cell =
+        harness::bench_with("cell/calculix/SttRam4TsbRca", warmup, measure, || {
+            System::homogeneous(
+                Scale::Quick.apply(Scenario::SttRam4TsbRca.config()),
+                calculix,
+            )
+            .run()
+        });
+
+    // One 16x16 / 16-region / single-cache-layer cell: four times the
+    // routers, NIs and banks of the default chip.
+    let mesh16_cell = harness::bench_with("cell16/sap/SttRam4TsbWb", warmup, measure, || {
+        let cfg = Scale::Quick.apply(Scenario::SttRam4TsbWb.config_at(16, 16, 16, 1));
+        System::homogeneous(cfg, app).run()
+    });
+
     // The incremental-sweep machinery: one full Quick-scale fig6 grid
     // per iteration. "Cold" disables result caching and warm-state
     // reuse (every iteration pays full price); "warm" shares one
@@ -141,6 +162,8 @@ fn main() {
     let records = vec![
         ("kernels/network_step".to_string(), network_step),
         ("fig6/cell/sap/SttRam4TsbWb".to_string(), fig6_cell),
+        ("cell/calculix/SttRam4TsbRca".to_string(), core_bound_cell),
+        ("cell16/sap/SttRam4TsbWb".to_string(), mesh16_cell),
         ("sweep/fig6_quick_cold".to_string(), sweep_cold),
         ("sweep/fig6_quick_warm".to_string(), sweep_warm),
     ];

@@ -99,6 +99,9 @@ pub struct System {
     /// Persistent sink for [`MemoryController::tick`] completions —
     /// cleared and refilled each cycle instead of allocating.
     fill_sink: Vec<Fill>,
+    /// Persistent snapshot of [`Network::delivery_nodes`], refilled
+    /// each cycle.
+    delivery_nodes: Vec<u64>,
 }
 
 impl System {
@@ -206,6 +209,7 @@ impl System {
             commit_base,
             inject_cap: 24,
             fill_sink: Vec::new(),
+            delivery_nodes: Vec::new(),
         }
     }
 
@@ -470,28 +474,43 @@ impl System {
         // 2. The network moves flits.
         self.net.step();
 
-        // 3. Deliveries. Bank intake is bounded: a busy bank admits
-        // nothing new, so requests pile up in its NI and then in the
-        // network — the congestion the bank-aware schemes avoid.
-        for node_idx in 0..self.mesh.nodes_per_layer() as u16 {
-            let node = NodeId::new(node_idx);
-            let cache_at = self.mesh.coord(node, Layer::Cache);
-            let room = self
-                .cfg
-                .mem
-                .bank_queue
-                .saturating_sub(self.banks[node_idx as usize].controller().queue_len());
-            for pkt in self.net.drain_delivered_up_to(cache_at, room) {
-                self.deliver_cache(node, pkt, now);
-            }
-            let core_at = self.mesh.coord(node, Layer::Core);
-            for pkt in self.net.drain_delivered(core_at) {
-                self.deliver_core(node, pkt, now);
+        // 3. Deliveries, at the nodes whose NIs hold delivered packets
+        // (ascending, cache side first). Bank intake is bounded: a
+        // busy bank admits nothing new, so requests pile up in its NI
+        // and then in the network — the congestion the bank-aware
+        // schemes avoid. Deliveries only inject, so no outbox fills
+        // during this loop and the snapshot stays complete.
+        let mut nodes = std::mem::take(&mut self.delivery_nodes);
+        self.net.delivery_nodes(&mut nodes);
+        for (w, &bits) in nodes.iter().enumerate() {
+            let mut word = bits;
+            while word != 0 {
+                let node_idx = (w << 6) + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let node = NodeId::new(node_idx as u16);
+                let cache_at = self.mesh.coord(node, Layer::Cache);
+                let room = self
+                    .cfg
+                    .mem
+                    .bank_queue
+                    .saturating_sub(self.banks[node_idx].controller().queue_len());
+                for pkt in self.net.drain_delivered_up_to(cache_at, room) {
+                    self.deliver_cache(node, pkt, now);
+                }
+                let core_at = self.mesh.coord(node, Layer::Core);
+                for pkt in self.net.drain_delivered(core_at) {
+                    self.deliver_core(node, pkt, now);
+                }
             }
         }
+        self.delivery_nodes = nodes;
 
-        // 4. Banks service their queues.
+        // 4. Banks service their queues; ticking an idle bank is a
+        // no-op, so only busy ones are visited.
         for b in 0..self.banks.len() {
+            if self.banks[b].is_idle() {
+                continue;
+            }
             let msgs = self.banks[b].tick(now);
             let bank = BankId::new(b as u16);
             for m in msgs {

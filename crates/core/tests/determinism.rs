@@ -4,16 +4,21 @@
 //! auditor or the telemetry collector riding along — for both a plain
 //! SRAM baseline and the paper's full STT-RAM + bank-aware-arbitration
 //! configuration. Fault campaigns replay per seed in `faults.rs`.
+//! Two FullStack cells are pinned to digests, since no checked-in
+//! result runs that drive mode.
 //!
 //! One `#[test]` for the 8x8 cells on purpose: it toggles the
 //! process-wide `SNOC_AUDIT` and `SNOC_TELEMETRY` environment
 //! variables, which must not race a parallel test.
 
+use snoc_common::config::SystemConfig;
+use snoc_common::fingerprint::StableHasher;
 use snoc_core::experiments::Scale;
 use snoc_core::metrics::RunMetrics;
-use snoc_core::scenario::Scenario;
-use snoc_core::system::System;
-use snoc_noc::AuditConfig;
+use snoc_core::scenario::{buff20_config, Scenario};
+use snoc_core::system::{DriveMode, System};
+use snoc_noc::{AuditConfig, NocEnv};
+use snoc_workload::mixes::Workload;
 use snoc_workload::table3 as t3;
 
 fn run_cell(scenario: Scenario) -> RunMetrics {
@@ -121,5 +126,39 @@ fn sixteen_by_sixteen_cell_is_deterministic_and_audit_clean() {
         fingerprint(&plain),
         fingerprint(&audited),
         "16x16/K16/L2: repeated runs diverged"
+    );
+}
+
+/// A Quick full-stack cell (real L1/L2 tags, MESI coherence) running
+/// `app` on every core, built hermetically so the env toggles of the
+/// test above can never leak in. Returns the digest of its
+/// [`fingerprint`].
+fn full_stack_digest(cfg: SystemConfig, app: &str) -> String {
+    let profile = t3::by_name(app).unwrap();
+    let cfg = Scale::Quick.apply(cfg);
+    let workload = Workload {
+        name: app.to_string(),
+        apps: vec![profile; cfg.cores()],
+    };
+    let m = System::with_env(cfg, &workload, DriveMode::FullStack, &NocEnv::default()).run();
+    let mut h = StableHasher::new();
+    h.write_str(&fingerprint(&m));
+    h.finish().to_hex()
+}
+
+/// No checked-in result runs `DriveMode::FullStack`, so these two
+/// digests pin its simulated behaviour: a write-heavy multithreaded
+/// app on the recommended WB design, and a SPEC app on BUFF-20.
+#[test]
+fn full_stack_cells_match_their_pinned_digests() {
+    assert_eq!(
+        full_stack_digest(Scenario::SttRam4TsbWb.config(), "sclust"),
+        "0b69257131869248d8ce9395acba022c",
+        "sclust on MRAM-4TSB-WB"
+    );
+    assert_eq!(
+        full_stack_digest(buff20_config(), "sjeng"),
+        "6bb1ddf2ef11469cd5f8b3eba79d32a0",
+        "sjeng on BUFF-20"
     );
 }

@@ -5,6 +5,12 @@
 //! True LRU is the default (the paper's policy); tree pseudo-LRU and
 //! seeded random are available for ablations (see
 //! [`crate::replacement`]).
+//!
+//! The line and replacement storage is allocated on the first
+//! [`CacheArray::insert`]. Until then the array behaves exactly as an
+//! all-invalid one: `probe` misses, and `peek`, `invalidate` and
+//! `iter` find nothing. Profile-driven runs never insert into their
+//! tag arrays, so they never pay for them.
 
 use crate::replacement::{ReplacementKind, SetState};
 use snoc_common::rng::SimRng;
@@ -35,11 +41,13 @@ pub struct CacheArray<M> {
     sets: usize,
     ways: usize,
     block_bits: u32,
+    /// `sets * ways` lines, or empty until the first insert.
     lines: Vec<Line<M>>,
     stamp: u64,
     hits: u64,
     misses: u64,
     policy: ReplacementKind,
+    /// One entry per set, or empty until the first insert.
     set_state: Vec<SetState>,
     rng: Option<SimRng>,
 }
@@ -82,23 +90,32 @@ impl<M: Default + Clone> CacheArray<M> {
             sets,
             ways,
             block_bits: block_bytes.trailing_zeros(),
-            lines: vec![
-                Line {
-                    tag: 0,
-                    valid: false,
-                    lru: 0,
-                    meta: M::default()
-                };
-                sets * ways
-            ],
+            lines: Vec::new(),
             stamp: 0,
             hits: 0,
             misses: 0,
             policy,
-            set_state: (0..sets).map(|_| SetState::new(policy, ways)).collect(),
+            set_state: Vec::new(),
             rng: matches!(policy, ReplacementKind::Random)
                 .then(|| SimRng::for_stream(seed, 0xCAC4E)),
         }
+    }
+
+    /// Allocates the all-invalid line and replacement storage (first
+    /// insert only).
+    fn allocate(&mut self) {
+        self.lines = vec![
+            Line {
+                tag: 0,
+                valid: false,
+                lru: 0,
+                meta: M::default()
+            };
+            self.sets * self.ways
+        ];
+        self.set_state = (0..self.sets)
+            .map(|_| SetState::new(self.policy, self.ways))
+            .collect();
     }
 
     /// The replacement policy in force.
@@ -153,13 +170,24 @@ impl<M: Default + Clone> CacheArray<M> {
         set * self.ways + way
     }
 
+    /// The ways a lookup searches: none before the first insert
+    /// allocates the lines.
+    fn searched_ways(&self) -> usize {
+        if self.lines.is_empty() {
+            0
+        } else {
+            self.ways
+        }
+    }
+
     /// Looks up `addr`, updating LRU and hit/miss counters. Returns
     /// mutable metadata on a hit.
     pub fn probe(&mut self, addr: u64) -> Option<&mut M> {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
         self.stamp += 1;
-        for way in 0..self.ways {
+        let ways = self.searched_ways();
+        for way in 0..ways {
             let idx = self.slot(set, way);
             if self.lines[idx].valid && self.lines[idx].tag == tag {
                 self.hits += 1;
@@ -176,7 +204,8 @@ impl<M: Default + Clone> CacheArray<M> {
     pub fn peek(&self, addr: u64) -> Option<&M> {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
-        (0..self.ways)
+        let ways = self.searched_ways();
+        (0..ways)
             .map(|w| &self.lines[self.slot(set, w)])
             .find(|l| l.valid && l.tag == tag)
             .map(|l| &l.meta)
@@ -186,7 +215,7 @@ impl<M: Default + Clone> CacheArray<M> {
     pub fn peek_mut(&mut self, addr: u64) -> Option<&mut M> {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
-        let ways = self.ways;
+        let ways = self.searched_ways();
         (0..ways)
             .map(|w| self.slot(set, w))
             .find(|&i| self.lines[i].valid && self.lines[i].tag == tag)
@@ -207,6 +236,9 @@ impl<M: Default + Clone> CacheArray<M> {
             self.peek(addr).is_none(),
             "inserting a block that is already present"
         );
+        if self.lines.is_empty() {
+            self.allocate();
+        }
         self.stamp += 1;
         // Prefer an invalid way.
         for way in 0..self.ways {
@@ -247,7 +279,8 @@ impl<M: Default + Clone> CacheArray<M> {
     pub fn invalidate(&mut self, addr: u64) -> Option<M> {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
-        for way in 0..self.ways {
+        let ways = self.searched_ways();
+        for way in 0..ways {
             let idx = self.slot(set, way);
             if self.lines[idx].valid && self.lines[idx].tag == tag {
                 self.lines[idx].valid = false;
@@ -259,7 +292,8 @@ impl<M: Default + Clone> CacheArray<M> {
 
     /// Iterates over all valid blocks as `(addr, &meta)`.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &M)> {
-        (0..self.sets).flat_map(move |set| {
+        let sets = if self.lines.is_empty() { 0 } else { self.sets };
+        (0..sets).flat_map(move |set| {
             (0..self.ways).filter_map(move |way| {
                 let l = &self.lines[self.slot(set, way)];
                 l.valid.then(|| (self.addr_of(set, l.tag), &l.meta))
@@ -294,6 +328,24 @@ mod tests {
         assert_eq!(l2.sets(), 512);
         let l2stt = CacheArray::<bool>::new(4 * 1024 * 1024, 16, 128);
         assert_eq!(l2stt.sets(), 2048);
+    }
+
+    #[test]
+    fn probe_only_array_allocates_nothing() {
+        let mut a = CacheArray::<u32>::new(4 * 1024 * 1024, 16, 128);
+        for i in 0..1000u64 {
+            assert!(a.probe(i * 128).is_none());
+            assert!(a.peek(i * 128).is_none());
+            assert!(a.peek_mut(i * 128).is_none());
+            assert!(a.invalidate(i * 128).is_none());
+        }
+        assert_eq!(a.iter().count(), 0);
+        assert_eq!((a.hits(), a.misses()), (0, 1000));
+        assert_eq!(a.lines.capacity(), 0, "no line storage before an insert");
+        assert_eq!(a.set_state.capacity(), 0, "no set state before an insert");
+        a.insert(0, 7);
+        assert_eq!(a.lines.len(), a.sets() * a.ways());
+        assert_eq!(a.peek(0), Some(&7));
     }
 
     #[test]

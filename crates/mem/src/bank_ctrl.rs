@@ -134,6 +134,17 @@ impl BankController {
         self.running.is_some()
     }
 
+    /// `true` when [`BankController::tick`] has nothing to do: no job
+    /// running or queued, no early reply waiting, and no write
+    /// buffered. Ticking an idle controller returns nothing and
+    /// changes no state.
+    pub fn is_idle(&self) -> bool {
+        self.running.is_none()
+            && self.queue.is_empty()
+            && self.early_replies.is_empty()
+            && self.wbuf.as_ref().is_none_or(WriteBuffer::is_empty)
+    }
+
     /// Queued jobs not yet started.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
@@ -272,8 +283,7 @@ impl BankController {
         let mut all = Vec::new();
         for _ in 0..limit {
             all.extend(self.tick(now));
-            let buffered = self.wbuf.as_ref().map(|b| !b.is_empty()).unwrap_or(false);
-            if !self.busy() && self.queue.is_empty() && !buffered {
+            if self.is_idle() {
                 break;
             }
             now += 1;

@@ -152,20 +152,17 @@ impl L2Bank {
         &self.ctrl
     }
 
-    /// `true` while any work is queued, in service, outstanding to
+    /// `true` when no work is queued, in service, outstanding to
     /// memory or buffered.
     pub fn is_quiescent(&self) -> bool {
-        !self.ctrl.busy()
-            && self.ctrl.queue_len() == 0
-            && self.pending.is_empty()
-            && self.mshrs.is_empty()
-            && self.txns.is_empty()
-            && self.deferred.is_empty()
-            && self
-                .ctrl
-                .write_buffer()
-                .map(|b| b.is_empty())
-                .unwrap_or(true)
+        self.is_idle() && self.pending.is_empty() && self.mshrs.is_empty() && self.txns.is_empty()
+    }
+
+    /// `true` when [`L2Bank::tick`] has nothing to do: no deferred
+    /// miss to retry and an idle controller. Ticking an idle bank
+    /// emits nothing and changes no state, so callers may skip it.
+    pub fn is_idle(&self) -> bool {
+        self.deferred.is_empty() && self.ctrl.is_idle()
     }
 
     fn enqueue_job(&mut self, op: BankOp, addr: u64, pending: PendingOp, now: Cycle) {

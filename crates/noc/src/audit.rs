@@ -25,6 +25,12 @@
 //!   cannot proceed (no free/credited VC downstream) are legitimate
 //!   back-pressure, so a violation requires the escape route to stay
 //!   open for [`AuditConfig::hold_strike_limit`] consecutive cycles.
+//! * **Wake-list completeness** — the network visits only the
+//!   components on its wake lists, so every router with buffered
+//!   flits, every NI with injection backlog, ejection flits or
+//!   delivered packets must be on the matching list, and every
+//!   window-based parent not marked for refresh must already hold its
+//!   fresh congestion estimates.
 //!
 //! Enable it with [`AuditConfig`] in
 //! [`crate::NetworkParams::audit`] or via the `SNOC_AUDIT`
@@ -32,6 +38,7 @@
 //! `panic` to abort on the first one; `SNOC_AUDIT_MAX_AGE` overrides
 //! the age bound).
 
+use crate::estimator::EstimatorState;
 use crate::network::Network;
 use crate::packet::PacketKind;
 use snoc_common::geom::Direction;
@@ -192,6 +199,7 @@ impl NetAuditor {
         self.check_packets(net, now);
         self.check_credits(net, now);
         self.check_holds(net, now);
+        self.check_wake_lists(net, now);
         self.report.checked_cycles += 1;
     }
 
@@ -311,6 +319,68 @@ impl NetAuditor {
                         "buffered-flit cache at {coord:?} says {cached}, VCs hold {buffered}"
                     ),
                 );
+            }
+        }
+    }
+
+    /// Wake-list completeness: no component with work is left off the
+    /// list the network visits it from, and no window-based parent
+    /// skips a `child_cong` refresh it needs.
+    fn check_wake_lists(&mut self, net: &Network, now: Cycle) {
+        let ws = net.workspace();
+        for (idx, (r, nic)) in net.routers.iter().zip(&net.nics).enumerate() {
+            let coord = r.coord();
+            let lists = [
+                (ws.buffered(idx), &net.router_wake, "flits", "router"),
+                (
+                    nic.inject_backlog(),
+                    &net.nic_inject_wake,
+                    "packets to inject",
+                    "inject",
+                ),
+                (
+                    nic.eject_buffered(),
+                    &net.nic_eject_wake,
+                    "ejection flits",
+                    "eject",
+                ),
+                (
+                    nic.outbox_len(),
+                    &net.nic_deliver_wake,
+                    "delivered packets",
+                    "delivery",
+                ),
+            ];
+            for (work, list, what, name) in lists {
+                if work > 0 && !list.contains(idx) {
+                    self.violation(
+                        now,
+                        format_args!("{coord:?} holds {work} {what} but is off the {name} list"),
+                    );
+                }
+            }
+        }
+        let EstimatorState::WindowBased(map) = &net.estimator else {
+            return;
+        };
+        for (idx, r) in net.routers.iter().enumerate() {
+            if net.wb_dirty.contains(idx) {
+                continue;
+            }
+            let coord = r.coord();
+            let Some(wb) = map.get(&coord) else { continue };
+            for (c, &have) in r.children().iter().zip(&r.child_cong) {
+                let fresh = wb.estimate(c.bank).min(3 * c.base_latency);
+                if have != fresh {
+                    let bank = c.bank;
+                    self.violation(
+                        now,
+                        format_args!(
+                            "WB parent {coord:?} is not marked for refresh but holds \
+                             congestion {have} for {bank:?}, fresh estimate {fresh}"
+                        ),
+                    );
+                }
             }
         }
     }

@@ -159,8 +159,11 @@ pub struct NetStats {
 /// ascending index order — exactly the order the former full scans
 /// used, which keeps activity-driven stepping byte-identical to
 /// stepping everything and skipping the idle.
+///
+/// A list may hold idle members (visiting one does nothing) but must
+/// never miss a member with work; the auditor checks the latter.
 #[derive(Debug, Clone)]
-struct WakeMask {
+pub(crate) struct WakeMask {
     bits: Vec<u64>,
 }
 
@@ -181,6 +184,27 @@ impl WakeMask {
         self.bits[i >> 6] &= !(1 << (i & 63));
     }
 
+    /// Whether member `i` is on the list.
+    #[inline]
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        self.bits[i >> 6] & (1 << (i & 63)) != 0
+    }
+
+    /// The members in ascending order (for loops that leave the list
+    /// itself unchanged).
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.bits.iter().enumerate().flat_map(|(w, &bits)| {
+            let mut word = bits;
+            std::iter::from_fn(move || {
+                (word != 0).then(|| {
+                    let i = (w << 6) + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    i
+                })
+            })
+        })
+    }
+
     fn words(&self) -> usize {
         self.bits.len()
     }
@@ -197,6 +221,10 @@ impl WakeMask {
         self.bits[w]
     }
 }
+
+/// Marks a port with no neighbour (mesh edge, or the vertical port
+/// that leads off the stack) in [`Network`]'s neighbour table.
+const NO_NEIGHBOUR: u32 = u32::MAX;
 
 /// The network view handed to routers.
 struct View<'a> {
@@ -230,17 +258,31 @@ pub struct Network {
     ws: NocWorkspace,
     pub(crate) nics: Vec<Nic>,
     pub(crate) arena: Arena,
-    estimator: EstimatorState,
+    pub(crate) estimator: EstimatorState,
     wide_down: Vec<bool>,
+    /// Per router, the router index behind each port (`NO_NEIGHBOUR`
+    /// at the edges); fixed by the geometry.
+    neighbours: Vec<[u32; PORTS]>,
     now: Cycle,
     stats: NetStats,
     /// Routers that may have work: a router is woken when a flit
     /// enters it and put back to sleep when visited empty.
-    router_wake: WakeMask,
+    pub(crate) router_wake: WakeMask,
     /// NICs with injection backlog (woken on enqueue).
-    nic_inject_wake: WakeMask,
+    pub(crate) nic_inject_wake: WakeMask,
     /// NICs with buffered ejection flits (woken on ejection).
-    nic_eject_wake: WakeMask,
+    pub(crate) nic_eject_wake: WakeMask,
+    /// NICs with delivered packets in their outbox (woken when the
+    /// ejection drain assembles one, put to sleep when the endpoint
+    /// empties the outbox).
+    pub(crate) nic_deliver_wake: WakeMask,
+    /// WB parents whose estimator took an ack since their `child_cong`
+    /// was last refreshed. Only an ack changes a WB estimate, so every
+    /// other parent's `child_cong` is already current.
+    pub(crate) wb_dirty: WakeMask,
+    /// Per-router buffer occupancy (0..=255) read by RCA propagation;
+    /// persistent scratch, rewritten every cycle.
+    occupancy: Vec<u8>,
     /// Switch moves granted this cycle, in VA/SA visit order; applied
     /// after every router has allocated (persistent scratch).
     moves: Vec<(usize, SwitchMove)>,
@@ -360,6 +402,17 @@ impl Network {
             }
         }
         let ws = NocWorkspace::new(routers.len(), params.noc.vcs_per_port, params.noc.vc_depth);
+        let neighbours = routers
+            .iter()
+            .map(|r| {
+                Direction::ALL.map(|dir| {
+                    mesh.neighbour(r.coord(), dir).map_or(NO_NEIGHBOUR, |c| {
+                        let base = if c.layer == Layer::Cache { n } else { 0 };
+                        (base + mesh.node(c).index()) as u32
+                    })
+                })
+            })
+            .collect();
         Self {
             params,
             mesh,
@@ -368,6 +421,10 @@ impl Network {
             router_wake: WakeMask::new(routers.len()),
             nic_inject_wake: WakeMask::new(routers.len()),
             nic_eject_wake: WakeMask::new(routers.len()),
+            nic_deliver_wake: WakeMask::new(routers.len()),
+            wb_dirty: WakeMask::new(routers.len()),
+            occupancy: vec![0; routers.len()],
+            neighbours,
             moves: Vec::new(),
             parent_idxs,
             eject_credits: Vec::new(),
@@ -486,6 +543,8 @@ impl Network {
         self.router_wake.zero();
         self.nic_inject_wake.zero();
         self.nic_eject_wake.zero();
+        self.nic_deliver_wake.zero();
+        self.wb_dirty.zero();
         self.moves.clear();
         self.eject_credits.clear();
         self.eject_events.clear();
@@ -560,6 +619,14 @@ impl Network {
         base + self.mesh.node(c).index()
     }
 
+    /// The index of the router behind port `dir` of router `idx`, if
+    /// any (neighbour-table lookup).
+    #[inline]
+    fn neighbour_idx(&self, idx: usize, dir: Direction) -> Option<usize> {
+        let n = self.neighbours[idx][dir.port()];
+        (n != NO_NEIGHBOUR).then_some(n as usize)
+    }
+
     /// Read access to the router at a coordinate.
     pub fn router(&self, c: Coord) -> &Router {
         &self.routers[self.ridx(c)]
@@ -611,6 +678,9 @@ impl Network {
     pub fn drain_delivered_up_to(&mut self, at: Coord, max: usize) -> Vec<Packet> {
         let idx = self.ridx(at);
         let mut delivered = self.nics[idx].pop_delivered_up_to(&mut self.arena, max);
+        if self.nics[idx].outbox_len() == 0 {
+            self.nic_deliver_wake.clear(idx);
+        }
         for p in &delivered {
             if let Some(a) = &mut self.auditor {
                 a.note_delivered(p.uid, self.now);
@@ -641,6 +711,22 @@ impl Network {
         delivered
     }
 
+    /// Fills `nodes` with a bitmask over layer-local node ids: bit
+    /// `node` is set when the core- or cache-side NI at that node may
+    /// hold delivered packets. Every node with a non-empty outbox is
+    /// set; a set node may have nothing to drain. Draining and
+    /// injecting never fill an outbox (only [`Network::step`] does),
+    /// so the snapshot stays a superset until the next step.
+    pub fn delivery_nodes(&self, nodes: &mut Vec<u64>) {
+        let n = self.mesh.nodes_per_layer();
+        nodes.clear();
+        nodes.resize(n.div_ceil(64), 0);
+        for i in self.nic_deliver_wake.iter() {
+            let node = i % n;
+            nodes[node >> 6] |= 1 << (node & 63);
+        }
+    }
+
     /// Advances the network by one cycle.
     ///
     /// The cycle runs in phases: injection at the NICs, VC and switch
@@ -664,20 +750,20 @@ impl Network {
         self.apply_moves(now);
         self.drain_ejection(now);
 
-        // Estimator upkeep.
+        // Estimator upkeep. Each router's occupancy is read once; a
+        // router off the wake list holds no flits, so it reads 0.
         if let EstimatorState::Rca(rca) = &mut self.estimator {
-            let routers = &self.routers;
-            let ws = &self.ws;
-            let mesh = self.mesh;
-            let n = mesh.nodes_per_layer();
+            let occ = &mut self.occupancy;
+            occ.fill(0);
+            for i in self.router_wake.iter() {
+                occ[i] = self.ws.occupancy_byte(i);
+            }
+            let neighbours = &self.neighbours;
             rca.propagate(
-                |i| ws.occupancy_byte(i),
+                |i| occ[i],
                 |i, dir| {
-                    let coord = routers[i].coord();
-                    mesh.neighbour(coord, dir).map(|c| {
-                        let base = if c.layer == Layer::Cache { n } else { 0 };
-                        base + mesh.node(c).index()
-                    })
+                    let nb = neighbours[i][dir.port()];
+                    (nb != NO_NEIGHBOUR).then_some(nb as usize)
                 },
             );
         }
@@ -827,6 +913,9 @@ impl Network {
                 // Draining may have enqueued a tag ack for injection.
                 if self.nics[i].inject_backlog() > 0 {
                     self.nic_inject_wake.set(i);
+                }
+                if self.nics[i].outbox_len() > 0 {
+                    self.nic_deliver_wake.set(i);
                 }
                 // Back-pressured tails stay buffered and keep the NI
                 // on the wake list.
@@ -1060,13 +1149,13 @@ impl Network {
                 }
             }
             EstimatorState::WindowBased(map) => {
-                for &idx in &self.parent_idxs {
-                    let idx = idx as usize;
+                for idx in self.wb_dirty.iter() {
                     let coord = self.routers[idx].coord();
                     let Some(wb) = map.get(&coord) else { continue };
                     self.routers[idx]
                         .refresh_child_cong_with(|c| wb.estimate(c.bank).min(3 * c.base_latency));
                 }
+                self.wb_dirty.zero();
             }
         }
     }
@@ -1131,11 +1220,9 @@ impl Network {
         if in_dir == Direction::Local {
             self.nics[idx].return_credit(m.in_vc, nflits);
         } else {
-            let up = self
-                .mesh
-                .neighbour(coord, in_dir)
+            let uidx = self
+                .neighbour_idx(idx, in_dir)
                 .expect("input port has an upstream");
-            let uidx = self.ridx(up);
             self.routers[uidx].return_credit(&mut self.ws, in_dir.arrival_port(), m.in_vc, nflits);
         }
 
@@ -1148,11 +1235,7 @@ impl Network {
                 self.nic_eject_wake.set(idx);
             }
             dir => {
-                let to = self
-                    .mesh
-                    .neighbour(coord, dir)
-                    .expect("route stays on chip");
-                let tidx = self.ridx(to);
+                let tidx = self.neighbour_idx(idx, dir).expect("route stays on chip");
                 let in_port = dir.arrival_port().port();
                 let ready = now + self.params.noc.link_latency + self.params.noc.router_stages;
                 for f in &m.flits {
@@ -1199,8 +1282,12 @@ impl Network {
                 if let EstimatorState::WindowBased(map) = &mut self.estimator {
                     if let Some(wb) = map.get_mut(&tag.parent) {
                         let before = wb.estimate(tag.child);
-                        let sample = wb.on_ack(tag.child, tag.stamp, when, base);
-                        if let (Some(sample), Some(t)) = (sample, &mut self.telemetry) {
+                        let Some(sample) = wb.on_ack(tag.child, tag.stamp, when, base) else {
+                            return;
+                        };
+                        let parent = self.ridx(tag.parent);
+                        self.wb_dirty.set(parent);
+                        if let Some(t) = &mut self.telemetry {
                             t.note_estimator(before, sample);
                         }
                     }
@@ -1624,6 +1711,94 @@ mod tests {
         let report = net.audit_report().unwrap();
         assert_eq!(report.violations, 1, "age bound reported exactly once");
         assert!(report.samples[0].contains("age bound"));
+    }
+
+    /// Re-runs the network's auditor on its current end-of-step state
+    /// and returns the violations that pass reported.
+    fn audit_now(net: &mut Network) -> Vec<String> {
+        let mut a = net.auditor.take().expect("auditor is on");
+        let seen = a.report().samples.len();
+        a.audit_cycle(net);
+        let found = a.report().samples[seen..].to_vec();
+        net.auditor = Some(a);
+        found
+    }
+
+    #[test]
+    fn auditor_flags_a_live_outbox_off_the_delivery_list() {
+        let mut p = params(RequestPathMode::RegionTsbs, ArbitrationPolicy::RoundRobin);
+        p.audit = Some(AuditConfig::default());
+        let mut net = Network::new(p);
+        let dst = cache(&net, 25);
+        net.inject(Packet::new(PacketKind::BankRead, core(&net, 7), dst, 0, 0));
+        let idx = net.ridx(dst);
+        for _ in 0..200 {
+            net.step();
+            if net.nics[idx].outbox_len() > 0 {
+                break;
+            }
+        }
+        assert_eq!(net.nics[idx].outbox_len(), 1, "the read reached the outbox");
+        assert_eq!(audit_now(&mut net), Vec::<String>::new());
+        net.nic_deliver_wake.clear(idx);
+        let found = audit_now(&mut net);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("off the delivery list"), "{found:?}");
+    }
+
+    #[test]
+    fn auditor_flags_a_wb_parent_that_skips_its_refresh() {
+        let aware = ArbitrationPolicy::BankAware {
+            estimator: Estimator::WindowBased,
+        };
+        let mut p = params(RequestPathMode::RegionTsbs, aware);
+        p.wb_window = 1;
+        p.audit = Some(AuditConfig::default());
+        let mut net = Network::new(p);
+        // Writebacks from every core converge on one slowly drained
+        // bank, so tagged requests queue and their acks report
+        // congestion.
+        let dst = cache(&net, 25);
+        for i in 0..64u16 {
+            net.inject(Packet::new(
+                PacketKind::Writeback,
+                core(&net, i),
+                dst,
+                u64::from(i),
+                u64::from(i),
+            ));
+        }
+        // A parent whose pending refresh would change its child_cong.
+        let stale = |net: &Network, idx: usize| {
+            let EstimatorState::WindowBased(map) = &net.estimator else {
+                unreachable!("WB network");
+            };
+            let r = &net.routers[idx];
+            map.get(&r.coord()).is_some_and(|wb| {
+                r.children()
+                    .iter()
+                    .zip(&r.child_cong)
+                    .any(|(c, &have)| wb.estimate(c.bank).min(3 * c.base_latency) != have)
+            })
+        };
+        for cycle in 0..5_000 {
+            net.step();
+            if cycle % 8 == 0 {
+                net.drain_delivered_up_to(dst, 1);
+            }
+            let Some(idx) =
+                (0..net.routers.len()).find(|&i| net.wb_dirty.contains(i) && stale(&net, i))
+            else {
+                continue;
+            };
+            let refresh = |f: &String| f.contains("not marked for refresh");
+            assert!(!audit_now(&mut net).iter().any(refresh));
+            net.wb_dirty.clear(idx);
+            let found = audit_now(&mut net);
+            assert!(found.iter().any(refresh), "{found:?}");
+            return;
+        }
+        panic!("no ack changed a WB estimate");
     }
 
     #[test]
