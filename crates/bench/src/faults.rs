@@ -12,19 +12,18 @@
 //! * `kill` — default rates plus a permanent TSB death mid-run, which
 //!   re-homes the victim region onto the nearest surviving TSB.
 //!
-//! Cells run **sequentially** through [`System::enable_faults`] — the
-//! campaign is configured programmatically, so no environment-variable
-//! races and byte-identical reruns per seed. Results land under
-//! `<SNOC_RESULTS_DIR|results>/faults/`.
+//! Cells run sequentially through [`System::enable_faults`], so reruns
+//! are byte-identical per seed. `snoc repro faults` writes the table to
+//! `<results>/faults/fault_campaign.{txt,csv}`.
 //!
-//! `--smoke` (or `--quick`) shrinks the grid to the headline scheme
-//! with `off`/`x4`/`kill` for CI.
+//! `quick` shrinks the grid to the headline scheme with
+//! `off`/`x4`/`kill` for CI.
 
 use snoc_core::experiments::Scale;
-use snoc_core::report::{self, Rows};
+use snoc_core::report::Rows;
 use snoc_core::scenario::Scenario;
 use snoc_core::system::System;
-use snoc_noc::FaultPlan;
+use snoc_noc::{FaultPlan, NocEnv};
 use snoc_workload::table3 as t3;
 use std::fmt;
 
@@ -71,7 +70,8 @@ struct Row {
     values: Vec<f64>,
 }
 
-struct FaultSweep {
+/// The campaign's table.
+pub struct FaultSweep {
     rows: Vec<Row>,
 }
 
@@ -121,9 +121,11 @@ impl fmt::Display for FaultSweep {
     }
 }
 
-fn main() {
-    let smoke = !snoc_bench::strict_flags(&["--smoke", "--quick"]).is_empty();
-    let schemes: &[Scenario] = if smoke {
+/// Runs the campaign (the CI-sized one when `quick`), with the audit
+/// and telemetry `noc` asks for riding along; `noc`'s fault plan stands
+/// in for the `off` column's.
+pub fn campaign(quick: bool, noc: &NocEnv) -> FaultSweep {
+    let schemes: &[Scenario] = if quick {
         &[Scenario::SttRam4TsbWb]
     } else {
         &[
@@ -133,7 +135,7 @@ fn main() {
             Scenario::SttRam4TsbWb,
         ]
     };
-    let campaigns: &[Campaign] = if smoke {
+    let campaigns: &[Campaign] = if quick {
         &[Campaign::Off, Campaign::Rates(4.0), Campaign::Kill]
     } else {
         &[
@@ -151,9 +153,11 @@ fn main() {
         for &campaign in campaigns {
             let cfg = Scale::Quick.apply(scheme.config());
             let mut system = System::homogeneous(cfg, app);
-            if let Some(plan) = campaign.plan() {
-                system.enable_faults(plan);
-            }
+            let noc = NocEnv {
+                faults: campaign.plan().or(noc.faults),
+                ..*noc
+            };
+            crate::instrument(&mut system, &noc);
             let metrics = system.run();
             let s = metrics.faults.clone().unwrap_or_default();
             let label = format!("{}/{}", scheme.name(), campaign.label());
@@ -182,15 +186,5 @@ fn main() {
         }
     }
 
-    let result = FaultSweep { rows };
-    println!("{result}");
-    let base = std::env::var("SNOC_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    let dir = format!("{base}/faults");
-    match report::save(&dir, "fault_campaign", &result) {
-        Ok((txt, csv)) => eprintln!("wrote {} and {}", txt.display(), csv.display()),
-        Err(e) => {
-            eprintln!("error: could not write results under {dir}: {e}");
-            std::process::exit(1);
-        }
-    }
+    FaultSweep { rows }
 }

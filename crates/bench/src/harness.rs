@@ -1,25 +1,16 @@
 //! A dependency-free micro-benchmark harness.
 //!
 //! The registry is unreachable in the offline build environments this
-//! repository targets, so `repro-perf` and the `kernels` bench time
-//! themselves with this Criterion-lite shim instead of pulling
-//! `criterion`: warm up, run timed batches until a time budget is
-//! spent, report mean / best / worst per iteration.
-//!
-//! Besides the stdout line, every completed benchmark is recorded in a
-//! process-wide registry; when `SNOC_BENCH_JSON=<path>` is set the
-//! registry is re-serialized to that path after each benchmark, so a
-//! bench binary leaves a machine-readable trajectory behind without
-//! any of the benches having to know about files.
+//! repository targets, so `snoc perf` times itself with this
+//! Criterion-lite shim instead of pulling `criterion`: warm up, run
+//! timed batches until a time budget is spent, report mean / best /
+//! worst per iteration, and serialize the records as `snoc-bench/1`.
 
-use std::sync::Mutex;
+use snoc_core::serve::json::{escape, Json};
 use std::time::{Duration, Instant};
 
-/// Process-wide record of every benchmark timed so far.
-static RECORDS: Mutex<Vec<(String, Timing)>> = Mutex::new(Vec::new());
-
 /// One benchmark's timing summary.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Timing {
     /// Iterations measured.
     pub iters: u64,
@@ -44,13 +35,8 @@ fn fmt_duration(d: Duration) -> String {
     }
 }
 
-/// Times `f` under the default budget (300 ms warm-up, 3 s measure)
-/// and prints a `name  mean ... (best ... worst ..., N iters)` line.
-pub fn bench<R>(name: &str, f: impl FnMut() -> R) -> Timing {
-    bench_with(name, Duration::from_millis(300), Duration::from_secs(3), f)
-}
-
-/// [`bench`] with explicit warm-up and measurement budgets.
+/// Times `f` under the given warm-up and measurement budgets and
+/// prints a `name  mean ... (best ... worst ..., N iters)` line.
 ///
 /// Warm-up and measurement are a single sampling loop: any iteration
 /// that *starts* inside the warm-up window is discarded from every
@@ -99,120 +85,68 @@ pub fn bench_with<R>(
         fmt_duration(timing.worst),
         timing.iters
     );
-    record(name, timing);
     timing
 }
 
-/// Appends `(name, timing)` to the process-wide registry and, when
-/// `SNOC_BENCH_JSON` names a path, rewrites that file with the full
-/// registry so far. A benchmark re-run under the same name replaces
-/// its previous record.
-fn record(name: &str, timing: Timing) {
-    let mut records = RECORDS.lock().unwrap();
-    if let Some(slot) = records.iter_mut().find(|(n, _)| n == name) {
-        slot.1 = timing;
-    } else {
-        records.push((name.to_string(), timing));
-    }
-    if let Ok(path) = std::env::var("SNOC_BENCH_JSON") {
-        if !path.is_empty() {
-            if let Err(e) = std::fs::write(&path, to_json(&records)) {
-                eprintln!("warning: failed to write {path}: {e}");
-            }
-        }
-    }
+/// `base / new` as a speed-up factor.
+pub fn ratio(base: Duration, new: Duration) -> f64 {
+    base.as_nanos() as f64 / new.as_nanos().max(1) as f64
 }
 
-/// A copy of every benchmark recorded so far in this process.
-pub fn recorded() -> Vec<(String, Timing)> {
-    RECORDS.lock().unwrap().clone()
-}
-
-/// Serializes benchmark records into the `snoc-bench/1` JSON schema.
-pub fn to_json(records: &[(String, Timing)]) -> String {
+/// Serializes benchmark records into the `snoc-bench/1` JSON schema,
+/// one bench object per line. A record with a namesake in `baseline`
+/// also carries `baseline_*_ns` and `speedup_*` fields.
+pub fn to_json(records: &[(String, Timing)], baseline: &[(String, Timing)]) -> String {
     let mut out = String::from("{\n  \"schema\": \"snoc-bench/1\",\n  \"benches\": [\n");
     for (i, (name, t)) in records.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": {}, \"iters\": {}, \"mean_ns\": {}, \"best_ns\": {}, \"worst_ns\": {}}}{}\n",
-            json_string(name),
+            "    {{\"name\": {}, \"iters\": {}, \"mean_ns\": {}, \"best_ns\": {}, \"worst_ns\": {}",
+            escape(name),
             t.iters,
             t.mean.as_nanos(),
             t.best.as_nanos(),
             t.worst.as_nanos(),
-            if i + 1 < records.len() { "," } else { "" }
         ));
+        if let Some((_, b)) = baseline.iter().find(|(n, _)| n == name) {
+            out.push_str(&format!(
+                ", \"baseline_mean_ns\": {}, \"baseline_best_ns\": {}, \"speedup_mean\": {:.3}, \"speedup_best\": {:.3}",
+                b.mean.as_nanos(),
+                b.best.as_nanos(),
+                ratio(b.mean, t.mean),
+                ratio(b.best, t.best),
+            ));
+        }
+        out.push_str(if i + 1 < records.len() { "},\n" } else { "}\n" });
     }
     out.push_str("  ]\n}\n");
     out
 }
 
-/// Parses a `snoc-bench/1` document produced by [`to_json`] back into
-/// records. Tolerates extra numeric fields (as written by `repro-perf`)
-/// but is not a general JSON parser.
-pub fn from_json(doc: &str) -> Vec<(String, Timing)> {
-    let mut out = Vec::new();
-    for line in doc.lines() {
-        let line = line.trim();
-        if !line.starts_with('{') || !line.contains("\"name\"") {
-            continue;
-        }
-        let name = match extract_string(line, "name") {
-            Some(n) => n,
-            None => continue,
-        };
-        let field = |k: &str| extract_u64(line, k);
-        let (Some(iters), Some(mean), Some(best), Some(worst)) = (
-            field("iters"),
-            field("mean_ns"),
-            field("best_ns"),
-            field("worst_ns"),
-        ) else {
-            continue;
-        };
-        out.push((
-            name,
-            Timing {
-                iters,
-                mean: Duration::from_nanos(mean),
-                best: Duration::from_nanos(best),
-                worst: Duration::from_nanos(worst),
-            },
-        ));
-    }
-    out
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn extract_string(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
-fn extract_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+/// Parses a `snoc-bench/1` document back into records (extra fields,
+/// such as the baseline comparison, are ignored).
+///
+/// # Errors
+///
+/// A document that is not JSON, or a bench without its timing fields.
+pub fn from_json(doc: &str) -> Result<Vec<(String, Timing)>, String> {
+    let doc = Json::parse(doc)?;
+    let benches = doc.get("benches").and_then(Json::as_arr);
+    let benches = benches.ok_or("no `benches` array")?;
+    benches
+        .iter()
+        .map(|b| {
+            let field = |k: &str| b.get(k).and_then(Json::as_u64).ok_or(format!("no `{k}`"));
+            let ns = |k: &str| field(k).map(Duration::from_nanos);
+            let name = b.get("name").and_then(Json::as_str).ok_or("no `name`")?;
+            let timing = Timing {
+                iters: field("iters")?,
+                mean: ns("mean_ns")?,
+                best: ns("best_ns")?,
+                worst: ns("worst_ns")?,
+            };
+            Ok((name.to_string(), timing))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -257,19 +191,17 @@ mod tests {
                 },
             ),
         ];
-        let doc = to_json(&records);
-        let parsed = from_json(&doc);
-        assert_eq!(parsed.len(), records.len());
-        // The escaped name survives serialization even though the naive
-        // parser stops at the first quote; the plain name round-trips.
-        assert_eq!(parsed[0].0, records[0].0);
-        for ((_, a), (_, b)) in parsed.iter().zip(&records).take(1) {
-            assert_eq!(a.iters, b.iters);
-            assert_eq!(a.mean, b.mean);
-            assert_eq!(a.best, b.best);
-            assert_eq!(a.worst, b.worst);
-        }
+        let doc = to_json(&records, &[]);
+        assert_eq!(from_json(&doc), Ok(records.clone()));
         assert!(doc.contains("\"schema\": \"snoc-bench/1\""));
+        assert!(!doc.contains("baseline"));
+
+        // Against a baseline, the matching record gains the comparison
+        // fields and still parses.
+        let doc = to_json(&records[..1], &records[..1]);
+        assert!(doc.contains("\"speedup_best\": 1.000"), "{doc}");
+        assert_eq!(from_json(&doc), Ok(records[..1].to_vec()));
+        assert!(from_json("{\"benches\": [{\"name\": \"x\"}]}").is_err());
     }
 
     #[test]

@@ -1,71 +1,69 @@
-//! Benchmark harness for the STT-RAM NoC reproduction.
+//! The `snoc` command: regenerates every table and figure of the
+//! ISCA'11 STT-RAM NoC paper, times the hot paths, serves sweeps and
+//! runs single configurations.
 //!
-//! One `repro-*` binary per table/figure regenerates the paper's
-//! rows/series at full scale (pass `--quick` for a fast pass);
-//! `repro-perf` and the `kernels` bench time the hot paths on the
-//! dependency-free [`harness`].
+//! `cli` is the process edge: it reads argv and every `SNOC_*`
+//! variable once, checks them, and hands explicit values to the
+//! subcommands (`repro`, `perf`, `serve`, `sim`).
 
-pub mod harness;
+mod cli;
+mod faults;
+mod harness;
+mod perf;
+mod repro;
+mod serve;
+mod sim;
+mod telemetry;
 
-use snoc_core::experiments::Scale;
-use snoc_core::report::{self, Rows};
-use std::fmt::Display;
+pub use cli::main;
 
-/// Validates the process arguments against an allow-list and returns
-/// the flags that were actually passed (deduplicated, in first-seen
-/// order). Anything not in `allowed` — a misspelled `--qiuck`, a flag
-/// meant for a different binary — aborts with exit code 2 *before* the
-/// caller runs any experiment or writes any file, so a typo can never
-/// silently run the wrong configuration over checked-in results.
-pub fn strict_flags(allowed: &[&str]) -> Vec<String> {
-    let mut seen: Vec<String> = Vec::new();
-    for arg in std::env::args().skip(1) {
-        if !allowed.contains(&arg.as_str()) {
-            eprintln!("error: unrecognized argument `{arg}`");
-            eprintln!("usage: {} [{}]", bin_name(), allowed.join("] ["));
-            std::process::exit(2);
+use cli::{Command, Edge};
+use snoc_core::report::{self, Rendered};
+use snoc_core::system::System;
+use snoc_noc::NocEnv;
+use std::path::Path;
+
+/// Runs a checked command. Returns the process exit code.
+fn run(command: Command, edge: &Edge) -> i32 {
+    let outcome = match command {
+        Command::Repro { name, quick } => repro::run(&name, quick, edge),
+        Command::Perf(args) => perf::run(&args, edge.bench_baseline.as_deref()),
+        Command::Serve(opts, request) => return serve::run(opts, request.as_deref(), &edge.noc),
+        Command::Sim(args) => {
+            sim::run(&args, &edge.noc);
+            Ok(())
         }
-        if !seen.contains(&arg) {
-            seen.push(arg);
+    };
+    match outcome {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("error: {e}");
+            1
         }
     }
-    seen
 }
 
-/// The executable name for usage messages, without the path.
-pub fn bin_name() -> String {
-    std::env::args()
-        .next()
-        .as_deref()
-        .and_then(|p| {
-            std::path::Path::new(p)
-                .file_name()?
-                .to_str()
-                .map(String::from)
-        })
-        .unwrap_or_else(|| "repro".into())
-}
-
-/// Parses the experiment scale from the command line (`--quick` for
-/// the reduced configuration; full scale otherwise). Any other
-/// argument is rejected with a non-zero exit.
-pub fn scale_from_args() -> Scale {
-    if strict_flags(&["--quick"]).is_empty() {
-        Scale::Full
-    } else {
-        Scale::Quick
+/// Switches on the instrumentation `noc` asks for.
+fn instrument(system: &mut System, noc: &NocEnv) {
+    if let Some(plan) = noc.faults {
+        system.enable_faults(plan);
+    }
+    if let Some(cfg) = noc.audit {
+        system.enable_audit(cfg);
+    }
+    if let Some(cfg) = noc.telemetry {
+        system.enable_telemetry(cfg);
     }
 }
 
-/// Prints an experiment result to stdout and dumps its text/CSV
-/// renderings into the results directory (`SNOC_RESULTS_DIR`, default
-/// `results/`). Diagnostics go to stderr so stdout stays a clean,
-/// reproducible report.
-pub fn emit<R: Rows + Display>(name: &str, result: &R) {
-    println!("{result}");
-    let dir = std::env::var("SNOC_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    match report::save(&dir, name, result) {
-        Ok((txt, csv)) => eprintln!("wrote {} and {}", txt.display(), csv.display()),
-        Err(e) => eprintln!("could not write results under {dir}: {e}"),
-    }
+/// Writes `<dir>/<name>.{txt,csv}` and says so on stderr.
+///
+/// # Errors
+///
+/// A file that could not be written.
+fn save(dir: &Path, name: &str, result: &Rendered) -> Result<(), String> {
+    let (txt, csv) = report::save(dir, name, result)
+        .map_err(|e| format!("could not write {name} under {}: {e}", dir.display()))?;
+    eprintln!("wrote {} and {}", txt.display(), csv.display());
+    Ok(())
 }

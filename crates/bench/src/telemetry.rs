@@ -1,8 +1,8 @@
 //! Telemetry deep-dive of one Quick-scale fig6 cell.
 //!
 //! Runs the paper's headline configuration (`SttRam4TsbWb`, the `sap`
-//! server workload) with `SNOC_TELEMETRY` forced on and writes, under
-//! `<SNOC_RESULTS_DIR|results>/telemetry/`:
+//! server workload) with telemetry on and writes, under
+//! `<results>/telemetry/`:
 //!
 //! * `fig6_util_heatmap.{txt,csv}` — mean buffer utilization per
 //!   router, one row per (layer, y), one column per x;
@@ -14,16 +14,17 @@
 //! * `fig6_trace.jsonl` — the retained flit-trace ring, replayable
 //!   event by event.
 //!
-//! `--smoke` is accepted for CI symmetry with the other binaries; the
-//! cell is Quick-scale either way, so it changes nothing.
+//! The cell is Quick-scale whatever the requested scale.
 
 use snoc_core::experiments::Scale;
-use snoc_core::report::{self, Rows};
+use snoc_core::report::{self, Rendered, Rows};
 use snoc_core::scenario::Scenario;
 use snoc_core::system::System;
 use snoc_noc::telemetry::{EpochRow, TelemetrySummary, CLASS_NAMES, LATENCY_EDGES};
+use snoc_noc::NocEnv;
 use snoc_workload::table3 as t3;
 use std::fmt;
+use std::path::Path;
 
 /// Per-router scalar rendered as a (layer, y) x (x) grid.
 struct Heatmap {
@@ -195,24 +196,25 @@ impl fmt::Display for TimeSeries {
     }
 }
 
-fn main() {
-    snoc_bench::strict_flags(&["--smoke"]);
-
-    // Force the collector on for this binary regardless of the
-    // caller's environment; epoch/trace overrides still apply.
-    std::env::set_var("SNOC_TELEMETRY", "1");
-
+/// Runs the cell with `noc`'s instrumentation (telemetry on, with
+/// `noc`'s telemetry settings when it has some) and writes its
+/// artifacts into `dir`.
+///
+/// # Errors
+///
+/// A file that could not be written.
+pub fn deep_dive(dir: &Path, noc: &NocEnv) -> Result<(), String> {
     let cfg = Scale::Quick.apply(Scenario::SttRam4TsbWb.config());
     let (width, height) = (cfg.noc.width as usize, cfg.noc.height as usize);
     let app = t3::by_name("sap").expect("table 3 has sap");
-    let metrics = System::homogeneous(cfg, app).run();
-    let summary = metrics
-        .telemetry
-        .expect("telemetry was forced on for this run");
+    let mut system = System::homogeneous(cfg, app);
+    let noc = NocEnv {
+        telemetry: Some(noc.telemetry.unwrap_or_default()),
+        ..*noc
+    };
+    crate::instrument(&mut system, &noc);
+    let summary = system.run().telemetry.expect("telemetry is on");
     eprintln!("telemetry: {}", summary.digest());
-
-    let base = std::env::var("SNOC_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    let dir = format!("{base}/telemetry");
 
     let util = Heatmap {
         title: "mean router buffer utilization (fraction of capacity)",
@@ -232,25 +234,16 @@ fn main() {
     let trace = summary.trace_jsonl();
     let hist = LatencyHist { summary };
 
-    save(&dir, "fig6_util_heatmap", &util);
-    save(&dir, "fig6_hold_heatmap", &hold);
-    save(&dir, "fig6_latency_hist", &hist);
-    save(&dir, "fig6_timeseries", &series);
-    match report::save_raw(&dir, "fig6_trace", "jsonl", &trace) {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => {
-            eprintln!("error: could not write trace under {dir}: {e}");
-            std::process::exit(1);
-        }
+    for (name, rendered) in [
+        ("fig6_util_heatmap", Rendered::of(&util)),
+        ("fig6_hold_heatmap", Rendered::of(&hold)),
+        ("fig6_latency_hist", Rendered::of(&hist)),
+        ("fig6_timeseries", Rendered::of(&series)),
+    ] {
+        crate::save(dir, name, &rendered)?;
     }
-}
-
-fn save<R: Rows + fmt::Display>(dir: &str, name: &str, result: &R) {
-    match report::save(dir, name, result) {
-        Ok((txt, csv)) => eprintln!("wrote {} and {}", txt.display(), csv.display()),
-        Err(e) => {
-            eprintln!("error: could not write {name} under {dir}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let path = report::save_raw(dir, "fig6_trace", "jsonl", &trace)
+        .map_err(|e| format!("could not write the trace under {}: {e}", dir.display()))?;
+    eprintln!("wrote {}", path.display());
+    Ok(())
 }

@@ -6,10 +6,9 @@
 //! in `snoc_common::fingerprint` (never the standard library's
 //! unstable `Hash`), and [`CellCache`] memoizes results under that
 //! key — in an in-process map always, and in an opt-in on-disk store
-//! when a directory is configured (`SNOC_CACHE_DIR` via
-//! [`SweepRunner::from_env`](crate::sweep::SweepRunner::from_env), or
-//! [`SweepRunner::cache_dir`](crate::sweep::SweepRunner::cache_dir)
-//! programmatically).
+//! when a directory is configured
+//! ([`SweepRunner::cache_dir`](crate::sweep::SweepRunner::cache_dir);
+//! `snoc` passes `SNOC_CACHE_DIR` there).
 //!
 //! Only *plain* cells are cacheable: a cell carrying a fault plan, an
 //! audit request or a telemetry request recomputes every time (its
@@ -452,14 +451,6 @@ fn decode(text: &str, key: Fingerprint) -> Result<RunMetrics, DecodeError> {
         telemetry: None,
         faults: None,
     })
-}
-
-/// Reads `SNOC_CACHE_DIR` (non-empty) as the opt-in disk store root.
-pub(crate) fn dir_from_env() -> Option<PathBuf> {
-    std::env::var("SNOC_CACHE_DIR")
-        .ok()
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
 }
 
 #[cfg(test)]

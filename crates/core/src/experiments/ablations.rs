@@ -7,7 +7,7 @@
 use crate::experiments::Scale;
 use crate::report::Rows;
 use crate::scenario::Scenario;
-use crate::sweep::{CellResult, Experiment, RunSpec, SweepRunner};
+use crate::sweep::{CellResult, Experiment, RunSpec};
 use snoc_common::config::SystemConfig;
 use snoc_workload::table3;
 use std::fmt;
@@ -105,11 +105,6 @@ impl Experiment for Ablations {
     }
 }
 
-/// Runs the ablations through the [`SweepRunner`].
-pub fn run(scale: Scale) -> AblationResult {
-    SweepRunner::from_env().run(&Ablations, scale)
-}
-
 impl fmt::Display for AblationResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Design-choice ablations on {} (MRAM-4TSB-WB)", self.app)?;
@@ -154,10 +149,11 @@ impl Rows for AblationResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_quick;
 
     #[test]
     fn ablations_cover_all_knobs() {
-        let r = run(Scale::Quick);
+        let r = run_quick(&Ablations);
         assert_eq!(r.sweeps.len(), 4);
         for s in &r.sweeps {
             assert!(s.throughput.iter().all(|&t| t > 0.0), "{}", s.knob);

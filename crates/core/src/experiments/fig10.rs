@@ -6,7 +6,7 @@
 use crate::experiments::Scale;
 use crate::report::Rows;
 use crate::scenario::Scenario;
-use crate::sweep::{CellResult, Experiment, RunSpec, SweepRunner};
+use crate::sweep::{CellResult, Experiment, RunSpec};
 use crate::system::DriveMode;
 use snoc_workload::mixes::{self, Workload};
 use std::fmt;
@@ -97,11 +97,6 @@ impl Experiment for Fig10 {
     }
 }
 
-/// Runs the fairness measurement through the [`SweepRunner`].
-pub fn run(scale: Scale) -> Fig10Result {
-    SweepRunner::from_env().run(&Fig10, scale)
-}
-
 impl fmt::Display for Fig10Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -160,10 +155,11 @@ impl Rows for Fig10Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_quick;
 
     #[test]
     fn slowdowns_are_finite_and_positive() {
-        let r = run(Scale::Quick);
+        let r = run_quick(&Fig10);
         assert_eq!(r.apps.len(), 4);
         for s in &r.slowdown {
             for &v in s {

@@ -5,7 +5,7 @@
 use crate::experiments::{norm, Scale};
 use crate::report::Rows;
 use crate::scenario::Scenario;
-use crate::sweep::{CellResult, Experiment, RunSpec, SweepRunner};
+use crate::sweep::{CellResult, Experiment, RunSpec};
 use snoc_common::config::TsbPlacement;
 use snoc_common::geom::Mesh;
 use snoc_noc::regions::RegionMap;
@@ -121,11 +121,6 @@ impl Experiment for Fig12 {
     }
 }
 
-/// Runs the sensitivity sweep through the [`SweepRunner`].
-pub fn run(scale: Scale) -> Fig12Result {
-    SweepRunner::from_env().run(&Fig12, scale)
-}
-
 impl fmt::Display for Fig12Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Figure 11: region layouts (# marks a TSB)")?;
@@ -170,10 +165,11 @@ impl Rows for Fig12Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_quick;
 
     #[test]
     fn sweep_covers_all_points() {
-        let r = run(Scale::Quick);
+        let r = run_quick(&Fig12);
         assert_eq!(r.normalized.len(), 6);
         assert!(
             (r.normalized[0] - 1.0).abs() < 1e-9,

@@ -6,7 +6,7 @@
 use crate::experiments::{norm, Scale};
 use crate::report::Rows;
 use crate::scenario::Scenario;
-use crate::sweep::{CellResult, Experiment, RunSpec, SweepRunner};
+use crate::sweep::{CellResult, Experiment, RunSpec};
 use snoc_workload::table3::{self, figures};
 use std::fmt;
 
@@ -105,11 +105,6 @@ impl Experiment for Fig13 {
     }
 }
 
-/// Runs both panels through the [`SweepRunner`].
-pub fn run(scale: Scale) -> Fig13Result {
-    SweepRunner::from_env().run(&Fig13, scale)
-}
-
 impl fmt::Display for Fig13Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -167,10 +162,11 @@ impl Rows for Fig13Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_quick;
 
     #[test]
     fn farther_parents_see_more_requests() {
-        let r = run(Scale::Quick);
+        let r = run_quick(&Fig13);
         let n = r.apps.len() as f64;
         let avg: Vec<f64> = (0..3)
             .map(|h| r.requests.iter().map(|q| q[h]).sum::<f64>() / n)

@@ -5,7 +5,7 @@
 use crate::experiments::{norm, Scale};
 use crate::report::Rows;
 use crate::scenario::{buff20_config, plus_one_vc_config, Scenario};
-use crate::sweep::{CellResult, Experiment, RunSpec, SweepRunner};
+use crate::sweep::{CellResult, Experiment, RunSpec};
 use snoc_common::config::SystemConfig;
 use snoc_workload::table3::{self, figures};
 use std::fmt;
@@ -129,13 +129,6 @@ impl Experiment for Fig14 {
     }
 }
 
-/// Runs the comparison through the [`SweepRunner`]. At full scale the
-/// average row covers the Figure 6 application set; quick runs use the
-/// named apps only.
-pub fn run(scale: Scale) -> Fig14Result {
-    SweepRunner::from_env().run(&Fig14, scale)
-}
-
 impl fmt::Display for Fig14Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -174,10 +167,11 @@ impl Rows for Fig14Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_quick;
 
     #[test]
     fn all_designs_measured() {
-        let r = run(Scale::Quick);
+        let r = run_quick(&Fig14);
         assert!(r.rows.len() >= 3);
         for row in &r.rows {
             assert_eq!(row.normalized.len(), 4);
@@ -193,7 +187,7 @@ mod tests {
     fn buff20_reduces_latency_for_bursty_apps() {
         // The write buffer absorbs writes at SRAM speed: uncore
         // latency must drop vs plain STT-RAM for a write-heavy app.
-        let r = run(Scale::Quick);
+        let r = run_quick(&Fig14);
         let named = &r.rows[1]; // first named app (tpcc)
         assert!(
             named.normalized[1] < 1.0,

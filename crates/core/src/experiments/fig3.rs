@@ -5,7 +5,7 @@
 use crate::experiments::Scale;
 use crate::report::Rows;
 use crate::scenario::Scenario;
-use crate::sweep::{CellResult, Experiment, RunSpec, SweepRunner};
+use crate::sweep::{CellResult, Experiment, RunSpec};
 use snoc_common::stats::Histogram;
 use snoc_workload::table3::{self, figures};
 use snoc_workload::Suite;
@@ -109,11 +109,6 @@ impl Experiment for Fig3 {
     }
 }
 
-/// Runs the characterization through the [`SweepRunner`].
-pub fn run(scale: Scale) -> Fig3Result {
-    SweepRunner::from_env().run(&Fig3, scale)
-}
-
 fn write_panel(f: &mut fmt::Formatter<'_>, p: &Fig3Panel) -> fmt::Result {
     let fr = p.gaps.fractions();
     write!(f, "{:10} #Req:{:5.2} |", p.name, p.two_hop_requests)?;
@@ -173,10 +168,11 @@ impl Rows for Fig3Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_quick;
 
     #[test]
     fn quick_run_produces_panels() {
-        let r = run(Scale::Quick);
+        let r = run_quick(&Fig3);
         assert_eq!(r.panels.len(), 3);
         for p in &r.panels {
             assert!(p.gaps.total() > 0, "{} has samples", p.name);

@@ -6,7 +6,7 @@
 use crate::experiments::{norm, Scale};
 use crate::report::Rows;
 use crate::scenario::Scenario;
-use crate::sweep::{CellResult, Experiment, RunSpec, SweepRunner};
+use crate::sweep::{CellResult, Experiment, RunSpec};
 use snoc_workload::table3::{self, figures};
 use snoc_workload::Suite;
 use std::fmt;
@@ -85,12 +85,6 @@ pub(crate) fn fig6_apps(scale: Scale) -> Vec<&'static str> {
     apps
 }
 
-/// Runs every scenario for each named application (one sweep).
-pub fn sweep(scale: Scale, apps: &[&str]) -> Vec<SweepRow> {
-    let cells = SweepRunner::from_env().run_grid("fig6/sweep", scenario_grid(scale, apps));
-    rows_from_cells(apps, &cells)
-}
-
 /// The figure: three suite panels.
 #[derive(Debug, Clone)]
 pub struct Fig6Result {
@@ -141,11 +135,6 @@ impl Experiment for Fig6 {
             rows: rows_from_cells(&fig6_apps(scale), &cells),
         }
     }
-}
-
-/// Runs the figure through the [`SweepRunner`].
-pub fn run(scale: Scale) -> Fig6Result {
-    SweepRunner::from_env().run(&Fig6, scale)
 }
 
 impl fmt::Display for Fig6Result {
@@ -207,10 +196,11 @@ impl Rows for Fig6Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_quick;
 
     #[test]
     fn quick_sweep_covers_scenarios() {
-        let r = run(Scale::Quick);
+        let r = run_quick(&Fig6);
         assert!(!r.rows.is_empty());
         for row in &r.rows {
             assert_eq!(row.throughput.len(), 6);

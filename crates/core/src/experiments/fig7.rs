@@ -4,7 +4,7 @@
 use crate::experiments::{fig6, norm, Scale};
 use crate::report::Rows;
 use crate::scenario::Scenario;
-use crate::sweep::{CellResult, Experiment, RunSpec, SweepRunner};
+use crate::sweep::{CellResult, Experiment, RunSpec};
 use snoc_workload::table3::figures;
 use std::fmt;
 
@@ -79,11 +79,6 @@ impl Experiment for Fig7 {
     }
 }
 
-/// Runs the latency-breakdown measurement through the [`SweepRunner`].
-pub fn run(scale: Scale) -> Fig7Result {
-    SweepRunner::from_env().run(&Fig7, scale)
-}
-
 impl fmt::Display for Fig7Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -134,10 +129,11 @@ impl Rows for Fig7Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_quick;
 
     #[test]
     fn breakdown_has_positive_components() {
-        let r = run(Scale::Quick);
+        let r = run_quick(&Fig7);
         for row in &r.rows {
             assert_eq!(row.net_latency.len(), 6);
             assert!(row.net_latency.iter().all(|&v| v > 0.0));
@@ -153,7 +149,7 @@ mod tests {
     fn stt_swap_inflates_queue_share() {
         // The paper: queuing worsens when SRAM is replaced by STT-RAM
         // (write-heavy apps; index 1 = MRAM-64TSB).
-        let r = run(Scale::Quick);
+        let r = run_quick(&Fig7);
         let sap = &r.rows[0];
         assert!(
             sap.queue_latency[1] > sap.queue_latency[0],

@@ -5,7 +5,7 @@
 use crate::experiments::{fig6, norm, Scale};
 use crate::report::Rows;
 use crate::scenario::Scenario;
-use crate::sweep::{CellResult, Experiment, RunSpec, SweepRunner};
+use crate::sweep::{CellResult, Experiment, RunSpec};
 use snoc_workload::Suite;
 use std::fmt;
 
@@ -81,11 +81,6 @@ impl Experiment for Fig8 {
     }
 }
 
-/// Runs the energy comparison through the [`SweepRunner`].
-pub fn run(scale: Scale) -> Fig8Result {
-    SweepRunner::from_env().run(&Fig8, scale)
-}
-
 impl fmt::Display for Fig8Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Figure 8: uncore energy normalized to SRAM-64TSB")?;
@@ -137,10 +132,11 @@ impl Rows for Fig8Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_quick;
 
     #[test]
     fn stt_roughly_halves_uncore_energy() {
-        let r = run(Scale::Quick);
+        let r = run_quick(&Fig8);
         let avg = r.average();
         assert!((avg[0] - 1.0).abs() < 1e-9, "baseline is 1.0");
         // Leakage dominance: every STT scheme lands near ~0.45.

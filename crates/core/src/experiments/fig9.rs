@@ -6,7 +6,7 @@ use crate::experiments::{norm, Scale};
 use crate::metrics::weighted_speedup;
 use crate::report::Rows;
 use crate::scenario::Scenario;
-use crate::sweep::{CellResult, Experiment, RunSpec, SweepRunner};
+use crate::sweep::{CellResult, Experiment, RunSpec};
 use crate::system::{DriveMode, System};
 use snoc_workload::mixes::{self, Workload};
 use std::collections::HashMap;
@@ -144,11 +144,6 @@ impl Experiment for Fig9 {
         }
         Fig9Result { cases: out }
     }
-}
-
-/// Runs the three case studies through the [`SweepRunner`].
-pub fn run(scale: Scale) -> Fig9Result {
-    SweepRunner::from_env().run(&Fig9, scale)
 }
 
 /// Caches each application's "alone" IPC per scenario (its solo run

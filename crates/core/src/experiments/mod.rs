@@ -1,36 +1,27 @@
 //! Experiment definitions regenerating every table and figure of the
 //! paper's evaluation section (see `DESIGN.md` for the index).
 //!
-//! Each module defines one [`Experiment`](crate::sweep::Experiment) —
-//! a declarative grid of simulation cells plus an `assemble` step that
-//! folds the per-cell [`RunMetrics`](crate::metrics::RunMetrics) into
-//! the figure's result type — and keeps a `run(scale)` free function
-//! that executes it through a [`SweepRunner`](crate::sweep::SweepRunner)
-//! configured from the environment (`SNOC_THREADS` workers,
-//! `SNOC_PROGRESS=0` to silence progress lines).
+//! Each module defines one [`Experiment`] — a declarative grid of
+//! simulation cells plus an `assemble` step that folds the per-cell
+//! [`RunMetrics`](crate::metrics::RunMetrics) into the figure's result
+//! type. [`REGISTRY`] names every one of them; `snoc repro <name>` and
+//! the sweep server look experiments up there.
 //!
 //! ```no_run
 //! use snoc_core::experiments::{fig7, Scale};
-//! use snoc_core::observer::ProgressObserver;
 //! use snoc_core::sweep::SweepRunner;
 //!
-//! // The one-liner:
-//! let quick = fig7::run(Scale::Quick);
-//! // The same sweep with explicit control:
-//! let full = SweepRunner::new()
-//!     .threads(8)
-//!     .observer(ProgressObserver::new())
-//!     .run(&fig7::Fig7, Scale::Full);
-//! assert_eq!(quick.rows[0].app, full.rows[0].app);
+//! let full = SweepRunner::new().threads(8).run(&fig7::Fig7, Scale::Full);
+//! # let _ = full;
 //! ```
 //!
 //! Result types implement [`std::fmt::Display`] (the paper's
-//! rows/series as text) and [`Rows`](crate::report::Rows) (the same
-//! numbers as labelled series for CSV dumps). [`Scale`] trades cycles
-//! for fidelity so one experiment serves both the quick smoke/bench
-//! paths and the full `repro-*` reproductions. Results are identical
-//! for any worker count: cells are deterministic functions of their
-//! spec and come back in grid order.
+//! rows/series as text) and [`Rows`] (the same numbers as labelled
+//! series for CSV dumps). [`Scale`] trades cycles for fidelity so one
+//! experiment serves both the quick smoke/bench paths and the full
+//! reproductions. Results are identical for any worker count: cells
+//! are deterministic functions of their spec and come back in grid
+//! order.
 
 pub mod ablations;
 pub mod fig10;
@@ -46,14 +37,81 @@ pub mod scaling;
 pub mod table2;
 pub mod table3;
 
+use crate::report::{Rendered, Rows};
+use crate::sweep::{Experiment, RunSpec, SweepRunner};
 use snoc_common::config::SystemConfig;
+use std::fmt::Display;
+
+/// A checked-in sweep experiment, under the name `snoc repro` and the
+/// sweep server accept.
+pub struct Registered {
+    /// The experiment's name (its [`Experiment::name`]).
+    pub name: &'static str,
+    /// The experiment's grid at a scale.
+    pub grid: fn(Scale) -> Vec<RunSpec>,
+    /// Runs a grid — the experiment's own, with any instrumentation
+    /// the caller folded in — and renders the assembled result.
+    pub run: fn(&SweepRunner, Scale, Vec<RunSpec>) -> Rendered,
+}
+
+fn run_and_render<E: Experiment>(
+    exp: &E,
+    runner: &SweepRunner,
+    scale: Scale,
+    grid: Vec<RunSpec>,
+) -> Rendered
+where
+    E::Output: Rows + Display,
+{
+    Rendered::of(&exp.assemble(scale, runner.run_grid(exp.name(), grid)))
+}
+
+macro_rules! registry {
+    ($($name:literal => $exp:expr,)*) => {
+        [$(Registered {
+            name: $name,
+            grid: |scale| $exp.grid(scale),
+            run: |runner, scale, grid| run_and_render(&$exp, runner, scale, grid),
+        },)*]
+    };
+}
+
+/// Every checked-in sweep experiment, one line each.
+pub static REGISTRY: [Registered; 13] = registry![
+    "table2" => table2::Table2Exp,
+    "table3" => table3::Table3,
+    "fig3" => fig3::Fig3,
+    "fig6" => fig6::Fig6,
+    "fig7" => fig7::Fig7,
+    "fig8" => fig8::Fig8,
+    "fig9" => fig9::Fig9,
+    "fig10" => fig10::Fig10,
+    "fig12" => fig12::Fig12,
+    "fig13" => fig13::Fig13,
+    "fig14" => fig14::Fig14,
+    "ablations" => ablations::Ablations,
+    "scaling" => scaling::Scaling,
+];
+
+/// The registered experiment called `name`.
+pub fn by_name(name: &str) -> Option<&'static Registered> {
+    REGISTRY.iter().find(|e| e.name == name)
+}
+
+/// Runs `exp` at quick scale on every core, for the experiments' own
+/// tests.
+#[cfg(test)]
+pub(crate) fn run_quick<E: Experiment>(exp: &E) -> E::Output {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    SweepRunner::new().threads(threads).run(exp, Scale::Quick)
+}
 
 /// How long each simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// A few thousand cycles per run: for smoke tests and benches.
     Quick,
-    /// The full evaluation lengths used by the `repro-*` binaries.
+    /// The full evaluation lengths of the checked-in `results/`.
     Full,
 }
 
@@ -106,6 +164,16 @@ mod tests {
         let apps = ["a", "b", "c", "d", "e"];
         assert_eq!(Scale::Quick.take_apps(&apps).len(), 3);
         assert_eq!(Scale::Full.take_apps(&apps).len(), 5);
+    }
+
+    #[test]
+    fn registry_names_are_the_experiment_names() {
+        let names: Vec<_> = REGISTRY.iter().map(|e| e.name).collect();
+        for (i, name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(name), "{name} registered twice");
+            assert!(std::ptr::eq(by_name(name).unwrap(), &REGISTRY[i]));
+        }
+        assert!(by_name("fig99").is_none());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use crate::experiments::{norm, Scale};
 use crate::report::Rows;
 use crate::scenario::Scenario;
-use crate::sweep::{CellResult, Experiment, RunSpec, SweepRunner};
+use crate::sweep::{CellResult, Experiment, RunSpec};
 use snoc_workload::table3;
 use std::fmt;
 
@@ -181,11 +181,6 @@ impl Experiment for Scaling {
         }
         ScalingResult { rows }
     }
-}
-
-/// Runs the study through the [`SweepRunner`].
-pub fn run(scale: Scale) -> ScalingResult {
-    SweepRunner::from_env().run(&Scaling, scale)
 }
 
 impl fmt::Display for ScalingResult {

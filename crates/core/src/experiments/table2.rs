@@ -3,7 +3,7 @@
 
 use crate::experiments::Scale;
 use crate::report::Rows;
-use crate::sweep::{CellResult, Experiment, RunSpec, SweepRunner};
+use crate::sweep::{CellResult, Experiment, RunSpec};
 use snoc_energy::cacti_lite::{self, BankModel};
 use std::fmt;
 
@@ -37,11 +37,6 @@ impl Experiment for Table2Exp {
             stt: cacti_lite::table2_stt(),
         }
     }
-}
-
-/// Evaluates the model at the paper's two design points.
-pub fn run() -> Table2 {
-    SweepRunner::from_env().run(&Table2Exp, Scale::Quick)
 }
 
 impl fmt::Display for Table2 {
@@ -124,10 +119,11 @@ impl Rows for Table2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_quick;
 
     #[test]
     fn regenerates_the_headline_latencies() {
-        let t = run();
+        let t = run_quick(&Table2Exp);
         assert_eq!(t.sram.write_cycles, 3);
         assert_eq!(t.stt.write_cycles, 33);
         assert_eq!(t.stt.read_cycles, 3);
@@ -135,9 +131,9 @@ mod tests {
 
     #[test]
     fn displays_both_rows() {
-        let s = run().to_string();
+        let s = run_quick(&Table2Exp).to_string();
         assert!(s.contains("1MB SRAM"));
         assert!(s.contains("4MB STT-RAM"));
-        assert_eq!(run().rows().len(), 2);
+        assert_eq!(run_quick(&Table2Exp).rows().len(), 2);
     }
 }

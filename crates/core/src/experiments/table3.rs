@@ -6,7 +6,7 @@
 use crate::experiments::Scale;
 use crate::report::Rows;
 use crate::scenario::Scenario;
-use crate::sweep::{CellResult, Experiment, RunSpec, SweepRunner};
+use crate::sweep::{CellResult, Experiment, RunSpec};
 use snoc_workload::{table3, BenchmarkProfile, Burstiness};
 use std::fmt;
 
@@ -94,12 +94,6 @@ impl Experiment for Table3 {
     }
 }
 
-/// Characterizes the applications through the [`SweepRunner`] (6 at
-/// quick scale, all 42 at full scale).
-pub fn run(scale: Scale) -> Table3Result {
-    SweepRunner::from_env().run(&Table3, scale)
-}
-
 impl fmt::Display for Table3Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -180,10 +174,11 @@ impl Rows for Table3Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_quick;
 
     #[test]
     fn quick_characterization_tracks_targets() {
-        let t = run(Scale::Quick);
+        let t = run_quick(&Table3);
         assert_eq!(t.rows.len(), 6);
         for r in &t.rows {
             // Within 35% at quick scale (short runs are noisy).

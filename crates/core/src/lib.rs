@@ -33,7 +33,7 @@ pub mod sweep;
 pub mod system;
 
 pub use metrics::RunMetrics;
-pub use observer::{MachineObserver, NullObserver, ProgressObserver, RunObserver};
+pub use observer::{NullObserver, ProgressObserver, RunObserver};
 pub use report::Rows;
 pub use scenario::Scenario;
 pub use sweep::{CellResult, Experiment, RunSpec, SweepRunner};

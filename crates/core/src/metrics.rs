@@ -50,13 +50,13 @@ pub struct RunMetrics {
     pub held_cycles: u64,
     /// Uncore energy breakdown.
     pub energy: EnergyBreakdown,
-    /// NoC invariant audit outcome (`None` unless `SNOC_AUDIT` or
+    /// NoC invariant audit outcome (`None` unless
     /// [`snoc_noc::NetworkParams::audit`] enabled the auditor).
     pub audit: Option<AuditReport>,
-    /// NoC telemetry (`None` unless `SNOC_TELEMETRY` or
+    /// NoC telemetry (`None` unless
     /// [`snoc_noc::NetworkParams::telemetry`] enabled the collector).
     pub telemetry: Option<TelemetrySummary>,
-    /// Fault campaign outcome (`None` unless `SNOC_FAULTS` or
+    /// Fault campaign outcome (`None` unless
     /// [`snoc_noc::NetworkParams::faults`] enabled the injector).
     pub faults: Option<FaultSummary>,
 }

@@ -2,21 +2,18 @@
 //!
 //! The runner reports its lifecycle through the [`RunObserver`] trait:
 //! sweep start, each cell's start and finish (with wall-clock and
-//! simulated-cycle throughput), and a final [`SweepSummary`]. Three
+//! simulated-cycle throughput), and a final [`SweepSummary`]. Two
 //! implementations ship with the crate:
 //!
 //! * [`NullObserver`] — silent; the default for library use and tests.
 //! * [`ProgressObserver`] — human-readable `[ 3/12] fig7/lbm ... 1.2 s
-//!   (2.5 Mcyc/s)` lines on stderr; what the `repro-*` binaries use.
-//! * [`MachineObserver`] — one `key=value` record per cell on stdout
-//!   for scripts that scrape sweep timings.
+//!   (2.5 Mcyc/s)` lines on stderr; what `snoc repro` uses.
 //!
 //! Observers are shared across worker threads, so implementations must
 //! be `Sync`; the provided ones serialize output per event through the
 //! platform's line-buffered streams.
 
 use crate::sweep::CellResult;
-use std::io::Write;
 use std::time::Duration;
 
 /// Timing roll-up handed to [`RunObserver::sweep_finished`].
@@ -73,14 +70,14 @@ pub trait RunObserver: Sync {
         let _ = result;
     }
 
-    /// A cell's run reported a NoC invariant violation (the
-    /// `SNOC_AUDIT` auditor was on and found one); called once per
+    /// A cell's run reported a NoC invariant violation (the cell was
+    /// audited and the auditor found one); called once per
     /// retained violation sample before [`RunObserver::cell_finished`].
     fn audit_violation(&self, label: &str, message: &str) {
         let _ = (label, message);
     }
 
-    /// A cell's run carried telemetry (`SNOC_TELEMETRY` was on);
+    /// A cell's run carried telemetry;
     /// `note` is the collector's one-line digest. Called before
     /// [`RunObserver::cell_finished`].
     fn telemetry_note(&self, label: &str, note: &str) {
@@ -181,65 +178,6 @@ impl RunObserver for ProgressObserver {
             fmt_rate(s.sim_cycles, s.wall),
             s.failed,
             s.cache_hits
-        );
-    }
-}
-
-/// One machine-readable `key=value` record per event on stdout.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MachineObserver;
-
-impl RunObserver for MachineObserver {
-    fn sweep_started(&self, name: &str, cells: usize, threads: usize) {
-        println!("sweep name={name} cells={cells} threads={threads}");
-    }
-
-    fn audit_violation(&self, label: &str, message: &str) {
-        println!(
-            "audit label={} message={}",
-            label.replace(' ', "_"),
-            message.replace(' ', "_")
-        );
-    }
-
-    fn telemetry_note(&self, label: &str, note: &str) {
-        println!(
-            "telemetry label={} note={}",
-            label.replace(' ', "_"),
-            note.replace(' ', "_")
-        );
-    }
-
-    fn cell_finished(&self, r: &CellResult) {
-        let ok = r.outcome.is_ok();
-        println!(
-            "cell index={} label={} ok={ok} wall_us={} sim_cycles={}",
-            r.index,
-            r.label.replace(' ', "_"),
-            r.wall.as_micros(),
-            r.sim_cycles
-        );
-        let _ = std::io::stdout().flush();
-    }
-
-    fn cache_note(&self, label: &str, note: &str) {
-        println!(
-            "cache label={} note={}",
-            label.replace(' ', "_"),
-            note.replace(' ', "_")
-        );
-    }
-
-    fn sweep_finished(&self, s: &SweepSummary) {
-        println!(
-            "done name={} cells={} failed={} cache_hits={} wall_us={} sim_cycles={} cyc_per_s={:.0}",
-            s.name,
-            s.cells,
-            s.failed,
-            s.cache_hits,
-            s.wall.as_micros(),
-            s.sim_cycles,
-            s.cycles_per_second()
         );
     }
 }

@@ -3,10 +3,10 @@
 //! Every figure/table result type implements [`Rows`] alongside its
 //! pretty [`std::fmt::Display`]: `rows()` yields the same numbers the
 //! figure plots as labelled series, and `csv()` renders them in one
-//! consistent machine-readable shape. [`save`] dumps both renderings
-//! (`<name>.txt` from `Display`, `<name>.csv` from [`Rows::csv`]) into
-//! a results directory — the `repro-*` binaries use it for their
-//! `results/` output.
+//! consistent machine-readable shape. [`Rendered`] holds both
+//! renderings and [`save`] dumps them (`<name>.txt` from `Display`,
+//! `<name>.csv` from [`Rows::csv`]) into a results directory — the
+//! `snoc repro` output under `results/`.
 
 use std::fmt::Display;
 use std::io;
@@ -46,20 +46,34 @@ pub trait Rows {
     }
 }
 
-/// Writes `<dir>/<name>.txt` (the `Display` rendering) and
-/// `<dir>/<name>.csv` (the [`Rows::csv`] rendering), creating `dir` if
+/// A result's two renderings, as [`save`] writes them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rendered {
+    /// The `Display` rendering.
+    pub text: String,
+    /// The [`Rows::csv`] rendering.
+    pub csv: String,
+}
+
+impl Rendered {
+    /// Renders `result` both ways.
+    pub fn of<R: Rows + Display>(result: &R) -> Self {
+        Self {
+            text: result.to_string(),
+            csv: result.csv(),
+        }
+    }
+}
+
+/// Writes `<dir>/<name>.txt` and `<dir>/<name>.csv`, creating `dir` if
 /// needed. Returns the two paths.
-pub fn save<R: Rows + Display>(
+pub fn save(
     dir: impl AsRef<Path>,
     name: &str,
-    result: &R,
+    result: &Rendered,
 ) -> io::Result<(PathBuf, PathBuf)> {
-    let dir = dir.as_ref();
-    std::fs::create_dir_all(dir)?;
-    let txt = dir.join(format!("{name}.txt"));
-    let csv = dir.join(format!("{name}.csv"));
-    std::fs::write(&txt, format!("{result}"))?;
-    std::fs::write(&csv, result.csv())?;
+    let txt = save_raw(&dir, name, "txt", &result.text)?;
+    let csv = save_raw(&dir, name, "csv", &result.csv)?;
     Ok((txt, csv))
 }
 
@@ -116,7 +130,7 @@ mod tests {
     #[test]
     fn save_writes_both_files() {
         let dir = std::env::temp_dir().join("snoc-report-test");
-        let (txt, csv) = save(&dir, "dummy", &Dummy).unwrap();
+        let (txt, csv) = save(&dir, "dummy", &Rendered::of(&Dummy)).unwrap();
         assert_eq!(std::fs::read_to_string(&txt).unwrap(), "dummy");
         assert!(std::fs::read_to_string(&csv).unwrap().starts_with("label,"));
         let _ = std::fs::remove_dir_all(&dir);

@@ -50,6 +50,14 @@ impl Scenario {
         }
     }
 
+    /// The scenario whose [`Scenario::name`] is `name`, ignoring ASCII
+    /// case.
+    pub fn by_name(name: &str) -> Option<Scenario> {
+        Scenario::ALL
+            .into_iter()
+            .find(|s| s.name().eq_ignore_ascii_case(name))
+    }
+
     /// The system configuration for this scenario (Table 1 defaults).
     pub fn config(self) -> SystemConfig {
         let b = SystemConfig::builder();
@@ -140,6 +148,17 @@ mod tests {
     fn six_scenarios_with_unique_names() {
         let names: std::collections::HashSet<_> = Scenario::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), 6);
+    }
+
+    #[test]
+    fn by_name_finds_every_scenario_in_any_ascii_case() {
+        for s in Scenario::ALL {
+            assert_eq!(Scenario::by_name(s.name()), Some(s));
+            assert_eq!(Scenario::by_name(&s.name().to_ascii_lowercase()), Some(s));
+        }
+        assert_eq!(Scenario::by_name("mram-4tsb"), Some(Scenario::SttRam4Tsb));
+        assert_eq!(Scenario::by_name("MRAM-4TSB-"), None);
+        assert_eq!(Scenario::by_name("NVRAM-9000"), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use super::protocol::{CellRequest, JobRequest};
 use crate::experiments::Scale;
 use crate::scenario::Scenario;
-use crate::sweep::{Experiment, RunSpec};
+use crate::sweep::RunSpec;
 use snoc_common::fingerprint::{Fingerprint, StableHasher};
 use snoc_workload::table3;
 
@@ -13,43 +13,13 @@ use snoc_workload::table3;
 /// changes so old and new servers never alias jobs.
 const JOB_SCHEMA: &str = "snoc-job/1";
 
-/// Resolves a scenario by its printed name (`Scenario::name`).
-pub fn scenario_by_name(name: &str) -> Option<Scenario> {
-    [
-        Scenario::Sram64Tsb,
-        Scenario::SttRam64Tsb,
-        Scenario::SttRam4Tsb,
-        Scenario::SttRam4TsbSs,
-        Scenario::SttRam4TsbRca,
-        Scenario::SttRam4TsbWb,
-    ]
-    .into_iter()
-    .find(|s| s.name() == name)
-}
-
 /// The grid of a checked-in experiment, by name.
 pub fn experiment_grid(name: &str, scale: Scale) -> Option<Vec<RunSpec>> {
-    use crate::experiments::*;
-    Some(match name {
-        "table2" => table2::Table2Exp.grid(scale),
-        "table3" => table3::Table3.grid(scale),
-        "fig3" => fig3::Fig3.grid(scale),
-        "fig6" => fig6::Fig6.grid(scale),
-        "fig7" => fig7::Fig7.grid(scale),
-        "fig8" => fig8::Fig8.grid(scale),
-        "fig9" => fig9::Fig9.grid(scale),
-        "fig10" => fig10::Fig10.grid(scale),
-        "fig12" => fig12::Fig12.grid(scale),
-        "fig13" => fig13::Fig13.grid(scale),
-        "fig14" => fig14::Fig14.grid(scale),
-        "ablations" => ablations::Ablations.grid(scale),
-        "scaling" => scaling::Scaling.grid(scale),
-        _ => return None,
-    })
+    crate::experiments::by_name(name).map(|e| (e.grid)(scale))
 }
 
 fn cell_spec(cell: &CellRequest) -> Result<RunSpec, String> {
-    let scenario = scenario_by_name(&cell.scenario)
+    let scenario = Scenario::by_name(&cell.scenario)
         .ok_or_else(|| format!("unknown scenario '{}'", cell.scenario))?;
     let profile =
         table3::by_name(&cell.app).ok_or_else(|| format!("unknown app '{}'", cell.app))?;
@@ -177,23 +147,9 @@ mod tests {
 
     #[test]
     fn experiment_registry_resolves_every_repro_name() {
-        for name in [
-            "table3",
-            "fig3",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig12",
-            "fig13",
-            "fig14",
-            "ablations",
-            "scaling",
-        ] {
-            let grid = experiment_grid(name, Scale::Quick)
-                .unwrap_or_else(|| panic!("unknown experiment {name}"));
-            assert!(!grid.is_empty(), "{name} grid is empty");
+        for e in &crate::experiments::REGISTRY {
+            let grid = experiment_grid(e.name, Scale::Quick).expect("registered");
+            assert_eq!(grid.is_empty(), e.name == "table2", "{} grid", e.name);
         }
         assert!(experiment_grid("fig99", Scale::Quick).is_none());
     }

@@ -1,4 +1,4 @@
-//! `snoc-serve`: sweep simulation as a long-running service.
+//! `snoc serve`: sweep simulation as a long-running service.
 //!
 //! A [`Server`] listens on a Unix-domain socket and speaks the
 //! newline-delimited JSON protocol of [`protocol`]: clients submit
@@ -20,12 +20,11 @@
 //!   that cell marked failed and the server keeps serving. A defensive
 //!   second `catch_unwind` around the whole job protects the executor
 //!   itself.
-//! * **Environment pinning** — the `SNOC_*` fallbacks are resolved
-//!   *once*, when [`ServeOptions::new`] captures a [`NocEnv`], and
-//!   folded into each accepted grid's explicit fields at submission.
-//!   Workers never read the environment, so nothing one client does to
-//!   the process environment (or any mid-flight mutation) can alter
-//!   another client's accepted job.
+//! * **Fixed instrumentation** — [`ServeOptions::env`] names the NoC
+//!   instrumentation (audit, telemetry, faults) every job runs with;
+//!   it is folded into each accepted grid's explicit fields at
+//!   submission. The library reads no environment variable, so nothing
+//!   a client does to the process environment can alter a job.
 //!
 //! Progress streams to subscribed clients as it happens
 //! ([`RunObserver`] events rendered to protocol lines); results are
@@ -64,25 +63,24 @@ pub struct ServeOptions {
     pub cache: bool,
     /// Optional on-disk root for the shared cell cache.
     pub cache_dir: Option<PathBuf>,
-    /// The NoC environment snapshot folded into every accepted job.
-    /// [`ServeOptions::new`] captures the live environment *once*,
-    /// here, at startup; tests pass `NocEnv::default()` for hermetic
-    /// servers.
+    /// The NoC instrumentation folded into every accepted job (off by
+    /// default; `snoc serve` fills it from `SNOC_AUDIT`,
+    /// `SNOC_TELEMETRY` and `SNOC_FAULTS`).
     pub env: NocEnv,
     /// Log job lifecycle lines to stderr.
     pub verbose: bool,
 }
 
 impl ServeOptions {
-    /// Defaults: single worker, caching on (in-process only), the
-    /// environment resolved now.
+    /// Defaults: single worker, caching on (in-process only), no
+    /// instrumentation.
     pub fn new(socket: impl Into<PathBuf>) -> Self {
         Self {
             socket: socket.into(),
             threads: 1,
             cache: true,
             cache_dir: None,
-            env: NocEnv::capture(),
+            env: NocEnv::default(),
             verbose: false,
         }
     }
@@ -249,7 +247,7 @@ struct Shared {
 impl Shared {
     fn log(&self, line: &str) {
         if self.verbose {
-            eprintln!("snoc-serve: {line}");
+            eprintln!("snoc serve: {line}");
         }
     }
 
@@ -418,10 +416,6 @@ fn executor(shared: &Arc<Shared>) {
         let grid = relock(&job.grid).take().expect("grid taken exactly once");
         let runner = SweepRunner::new()
             .threads(shared.threads)
-            // Specs were env-resolved at submission; the runner itself
-            // must stay hermetic no matter what the environment says
-            // by the time the job reaches the front of the queue.
-            .noc_env(NocEnv::default())
             .cache(shared.cache_on)
             .shared_cache(Arc::clone(&shared.cache))
             .observer(JobObserver(Arc::clone(&job)));
@@ -514,9 +508,8 @@ fn dispatch(shared: &Arc<Shared>, writer: &mut impl Write, req: Request) -> io::
             match jobs::build_grid(&req) {
                 Err(e) => writeln!(writer, "{}", protocol::error_line(&e))?,
                 Ok((name, grid)) => {
-                    // Environment pinning: the startup snapshot becomes
-                    // explicit spec fields *now*, so the job the client
-                    // is acknowledged for is the job that runs.
+                    // The server's instrumentation becomes explicit spec
+                    // fields *now*: they are part of the job key.
                     let grid: Vec<RunSpec> = grid
                         .into_iter()
                         .map(|s| s.resolve_env(&shared.env))

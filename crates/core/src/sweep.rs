@@ -33,16 +33,15 @@
 //!   instrumentation) are memoized under their content key
 //!   ([`cellcache::cell_key`]) in an in-process map that lives as long
 //!   as the runner (so repeated `run_grid` calls on one runner are
-//!   warm), and additionally
-//!   in an on-disk store when `SNOC_CACHE_DIR` (or
-//!   [`SweepRunner::cache_dir`]) points somewhere. `SNOC_SWEEP_CACHE=0`
-//!   or [`SweepRunner::cache`]`(false)` disables it.
+//!   warm), and additionally in an on-disk store when
+//!   [`SweepRunner::cache_dir`] points somewhere.
+//!   [`SweepRunner::cache`]`(false)` disables it.
 //! * **Warm-state reuse** — after a cell finishes, its worker keeps the
 //!   fully-allocated [`System`] and rebuilds the next cell *in place*
 //!   ([`System::reset_for_cell`]), reusing the NoC workspace, packet
 //!   arena, routing tables and scratch instead of reallocating them.
-//!   `SNOC_SWEEP_WARM=0` or [`SweepRunner::warm_reuse`]`(false)` falls
-//!   back to a fresh `System` per cell.
+//!   [`SweepRunner::warm_reuse`]`(false)` falls back to a fresh
+//!   `System` per cell.
 //!
 //! # Example
 //!
@@ -81,15 +80,11 @@ pub struct RunSpec {
     pub mode: DriveMode,
     /// The system configuration (scale already applied).
     pub cfg: SystemConfig,
-    /// Optional NoC fault-injection campaign for this cell (applied
-    /// programmatically — workers never mutate the environment).
+    /// Optional NoC fault-injection campaign for this cell.
     pub faults: Option<FaultPlan>,
-    /// Optional NoC invariant auditing for this cell (programmatic
-    /// counterpart of `SNOC_AUDIT`, same env-race-free contract as
-    /// `faults`).
+    /// Optional NoC invariant auditing for this cell.
     pub audit: Option<AuditConfig>,
-    /// Optional NoC telemetry collection for this cell (programmatic
-    /// counterpart of `SNOC_TELEMETRY`).
+    /// Optional NoC telemetry collection for this cell.
     pub telemetry: Option<TelemetryConfig>,
 }
 
@@ -153,11 +148,9 @@ impl RunSpec {
         self
     }
 
-    /// Folds a captured environment snapshot into this spec's explicit
-    /// fields: programmatic settings win, the snapshot fills whatever
-    /// was left unset. After this, running the spec touches no
-    /// environment variable at all — the runner builds its [`System`]s
-    /// against the hermetic [`NocEnv::default`].
+    /// Folds the instrumentation a caller asks for into this spec's
+    /// fields: settings already on the spec win, `env` fills whatever
+    /// was left unset.
     pub fn resolve_env(mut self, env: &NocEnv) -> Self {
         if self.audit.is_none() {
             self.audit = env.audit;
@@ -271,10 +264,6 @@ pub struct SweepRunner {
     cache: bool,
     warm: bool,
     cache_dir: Option<PathBuf>,
-    // Environment fallbacks, captured once at construction. Workers
-    // never read the environment: a mid-flight mutation cannot alter a
-    // grid this runner was already handed.
-    env: NocEnv,
     // Lives as long as the runner, so repeated `run_grid` calls on one
     // runner serve repeated cells from memory even without a disk
     // store. `Arc` so several runners (the sweep server builds one per
@@ -292,10 +281,8 @@ impl SweepRunner {
     /// A silent single-threaded runner (the deterministic baseline).
     /// Result caching and warm-state reuse are on; the on-disk store
     /// is off until [`SweepRunner::cache_dir`] points somewhere. The
-    /// NoC environment fallbacks (`SNOC_AUDIT`/`SNOC_TELEMETRY`/
-    /// `SNOC_FAULTS`) are snapshotted *now*: grids run later see this
-    /// moment's environment, never a mid-flight mutation
-    /// ([`SweepRunner::noc_env`] overrides the snapshot).
+    /// runner runs exactly the specs it is handed: instrumentation
+    /// comes only from their `faults`/`audit`/`telemetry` fields.
     pub fn new() -> Self {
         Self {
             threads: 1,
@@ -303,37 +290,7 @@ impl SweepRunner {
             cache: true,
             warm: true,
             cache_dir: None,
-            env: NocEnv::capture(),
             cell_cache: OnceLock::new(),
-        }
-    }
-
-    /// A runner configured from the environment, as the `repro-*`
-    /// binaries do: `SNOC_THREADS` sets the worker count (default: the
-    /// machine's available parallelism), `SNOC_PROGRESS=0` silences
-    /// the per-cell progress lines, `SNOC_CACHE_DIR` roots the on-disk
-    /// result store, and `SNOC_SWEEP_CACHE=0` / `SNOC_SWEEP_WARM=0`
-    /// switch off result caching / warm-state reuse.
-    pub fn from_env() -> Self {
-        let threads = std::env::var("SNOC_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        let off = |var: &str| std::env::var(var).is_ok_and(|v| v == "0");
-        let mut runner = Self::new()
-            .threads(threads)
-            .cache(!off("SNOC_SWEEP_CACHE"))
-            .warm_reuse(!off("SNOC_SWEEP_WARM"));
-        runner.cache_dir = cellcache::dir_from_env();
-        if off("SNOC_PROGRESS") {
-            runner
-        } else {
-            runner.observer(crate::observer::ProgressObserver::new())
         }
     }
 
@@ -350,38 +307,25 @@ impl SweepRunner {
         self
     }
 
-    /// Switches result caching on or off (programmatic counterpart of
-    /// `SNOC_SWEEP_CACHE`, race-free for tests and benches).
+    /// Switches result caching on or off.
     pub fn cache(mut self, on: bool) -> Self {
         self.cache = on;
         self
     }
 
-    /// Switches warm-state reuse on or off (programmatic counterpart
-    /// of `SNOC_SWEEP_WARM`).
+    /// Switches warm-state reuse on or off.
     pub fn warm_reuse(mut self, on: bool) -> Self {
         self.warm = on;
         self
     }
 
-    /// Roots the on-disk result store at `dir` (programmatic
-    /// counterpart of `SNOC_CACHE_DIR`; implies nothing unless result
-    /// caching is on).
+    /// Roots the on-disk result store at `dir` (implies nothing unless
+    /// result caching is on).
     pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
         // A cache that was already materialized is rooted at the old
         // directory; drop it rather than serve from the wrong store.
         self.cell_cache = OnceLock::new();
-        self
-    }
-
-    /// Replaces the environment snapshot taken at construction.
-    /// `NocEnv::default()` makes the runner fully hermetic (no audit/
-    /// telemetry/fault fallbacks); a snapshot captured at server
-    /// startup pins every job of a long-running process to that one
-    /// resolution.
-    pub fn noc_env(mut self, env: NocEnv) -> Self {
-        self.env = env;
         self
     }
 
@@ -413,21 +357,11 @@ impl SweepRunner {
         observer.sweep_started(name, n, threads);
         let t0 = Instant::now();
 
-        // Resolve the environment snapshot into every spec's explicit
-        // fields up front: from here on, running the grid touches no
-        // environment variable (workers build their `System`s against
-        // the hermetic `NocEnv::default`), so mutating the process
-        // environment mid-flight cannot alter a grid already accepted.
-        let env = self.env;
-        let pinned = NocEnv::default();
-
         // Workers claim cells from per-worker stealing deques and
         // deposit results in indexed slots — completion order never
         // leaks into the output.
-        let specs: Vec<Mutex<Option<RunSpec>>> = grid
-            .into_iter()
-            .map(|s| Mutex::new(Some(s.resolve_env(&env))))
-            .collect();
+        let specs: Vec<Mutex<Option<RunSpec>>> =
+            grid.into_iter().map(|s| Mutex::new(Some(s))).collect();
         let slots: Vec<Mutex<Option<CellResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let hits = AtomicUsize::new(0);
         let cache: Option<&CellCache> = self.cache.then(|| {
@@ -498,10 +432,10 @@ impl SweepRunner {
                     // a poisoned instance is never carried forward.
                     let mut system = match warm.take() {
                         Some(mut s) if warm_on => {
-                            s.reset_for_cell_env(spec.cfg, &spec.workload, spec.mode, &pinned);
+                            s.reset_for_cell(spec.cfg, &spec.workload, spec.mode);
                             s
                         }
-                        _ => System::with_env(spec.cfg, &spec.workload, spec.mode, &pinned),
+                        _ => System::new(spec.cfg, &spec.workload, spec.mode),
                     };
                     if let Some(plan) = spec.faults {
                         system.enable_faults(plan);
@@ -715,8 +649,6 @@ mod tests {
 
     #[test]
     fn programmatic_audit_and_telemetry_reach_the_metrics() {
-        // The env-race-free opt-ins must produce the same artefacts the
-        // `SNOC_AUDIT` / `SNOC_TELEMETRY` variables would, per cell.
         let grid = vec![
             tiny("plain", "tpcc"),
             tiny("instrumented", "tpcc")
@@ -758,12 +690,5 @@ mod tests {
             outcome: Err(CellError::Panicked("boom".into())),
         };
         r.metrics();
-    }
-
-    #[test]
-    fn from_env_reads_thread_count() {
-        // Can't mutate the environment safely under the parallel test
-        // harness; just check the default path produces a runner.
-        let _ = SweepRunner::from_env();
     }
 }

@@ -54,6 +54,12 @@ fn core_of_token(token: u64) -> CoreId {
     CoreId::new(((token >> 32) & 0xFFFF) as u16)
 }
 
+/// The preconditions of building a system for one cell.
+fn check_cell(cfg: &SystemConfig, workload: &Workload) {
+    cfg.validate().expect("valid configuration");
+    assert_eq!(workload.apps.len(), cfg.cores(), "one application per core");
+}
+
 enum Stream {
     Profile(ProfileStream),
     Full(FullStackStream),
@@ -106,111 +112,39 @@ pub struct System {
 
 impl System {
     /// Builds a system running `workload` (one profile per core) in
-    /// the given mode.
+    /// the given mode, with no NoC instrumentation (see
+    /// [`System::enable_audit`], [`System::enable_telemetry`] and
+    /// [`System::enable_faults`]).
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`SystemConfig::validate`] or
     /// the workload does not cover every core.
     pub fn new(cfg: SystemConfig, workload: &Workload, mode: DriveMode) -> Self {
-        Self::with_env(cfg, workload, mode, &NocEnv::capture())
-    }
-
-    /// Builds a system like [`System::new`], but with every NoC
-    /// environment fallback (`SNOC_AUDIT`/`SNOC_TELEMETRY`/
-    /// `SNOC_FAULTS`) taken from the pre-captured `env` snapshot
-    /// instead of the live process environment. Multi-cell engines
-    /// (the sweep runner, the sweep server) resolve the environment
-    /// once and build every cell through this, so a mid-flight
-    /// environment mutation can never alter an accepted cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SystemConfig::validate`] or
-    /// the workload does not cover every core.
-    pub fn with_env(cfg: SystemConfig, workload: &Workload, mode: DriveMode, env: &NocEnv) -> Self {
-        cfg.validate().expect("valid configuration");
-        assert_eq!(workload.apps.len(), cfg.cores(), "one application per core");
-        let mesh = Mesh::new(cfg.noc.width, cfg.noc.height);
-        let net = Network::new(NetworkParams::resolve(&cfg, env));
-        let banks_n = cfg.banks();
-        let cap_factor = cfg.effective_capacity_factor();
-
-        let cores: Vec<OooCore> = (0..cfg.cores())
-            .map(|i| OooCore::new(CoreId::new(i as u16), cfg.core))
-            .collect();
-        let streams: Vec<Stream> = workload
-            .apps
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let core = CoreId::new(i as u16);
-                match mode {
-                    DriveMode::Profile => {
-                        Stream::Profile(ProfileStream::new(p, core, banks_n, cap_factor, cfg.seed))
-                    }
-                    DriveMode::FullStack => {
-                        Stream::Full(FullStackStream::new(p, core, banks_n, cfg.seed))
-                    }
-                }
-            })
-            .collect();
-        let l1s: Vec<L1Cache> = (0..cfg.cores())
-            .map(|i| L1Cache::new(CoreId::new(i as u16), &cfg.mem, banks_n))
-            .collect();
-        let tag_mode = match mode {
-            DriveMode::Profile => TagMode::Probabilistic,
-            DriveMode::FullStack => TagMode::Real,
-        };
-        let banks: Vec<L2Bank> = (0..banks_n)
-            .map(|i| {
-                L2Bank::new(
-                    BankId::new(i as u16),
-                    &cfg.mem,
-                    cfg.tech,
-                    cfg.write_buffer,
-                    tag_mode,
-                )
-            })
-            .collect();
-        let w = cfg.noc.width as u16;
-        let h = cfg.noc.height as u16;
-        let mc_nodes: Vec<NodeId> = [0, w - 1, (h - 1) * w, h * w - 1]
-            .into_iter()
-            .map(NodeId::new)
-            .collect();
-        let mcs: Vec<MemoryController> = (0..cfg.mem.mem_controllers)
-            .map(|i| {
-                MemoryController::new(
-                    McId::new(i as u16),
-                    cfg.mem.dram_latency,
-                    cfg.mem.mc_outstanding,
-                )
-            })
-            .collect();
-        let commit_base = vec![0; cfg.cores()];
-
-        Self {
+        check_cell(&cfg, workload);
+        let mut system = Self {
             cfg,
             mode,
-            mesh,
-            net,
-            cores,
-            streams,
-            l1s,
-            banks,
-            mcs,
-            mc_nodes,
+            mesh: Mesh::new(cfg.noc.width, cfg.noc.height),
+            net: Network::new(NetworkParams::resolve(&cfg, &NocEnv::default())),
+            cores: Vec::new(),
+            streams: Vec::new(),
+            l1s: Vec::new(),
+            banks: Vec::new(),
+            mcs: Vec::new(),
+            mc_nodes: Vec::new(),
             now: 0,
             pending_reads: HashMap::new(),
             full_issue: HashMap::new(),
             uncore_rtt: Accumulator::new(),
             uncore_rtt_tail: Reservoir::new(4096),
-            commit_base,
+            commit_base: Vec::new(),
             inject_cap: 24,
             fill_sink: Vec::new(),
             delivery_nodes: Vec::new(),
-        }
+        };
+        system.load_cell(workload);
+        system
     }
 
     /// Re-targets this system at a new sweep cell, reusing the
@@ -230,29 +164,24 @@ impl System {
     /// Panics if the configuration fails [`SystemConfig::validate`] or
     /// the workload does not cover every core.
     pub fn reset_for_cell(&mut self, cfg: SystemConfig, workload: &Workload, mode: DriveMode) {
-        self.reset_for_cell_env(cfg, workload, mode, &NocEnv::capture());
+        check_cell(&cfg, workload);
+        self.net
+            .reset(NetworkParams::resolve(&cfg, &NocEnv::default()));
+        self.cfg = cfg;
+        self.mode = mode;
+        self.uncore_rtt_tail = Reservoir::new(4096);
+        self.load_cell(workload);
     }
 
-    /// [`System::reset_for_cell`] with the environment fallbacks taken
-    /// from the pre-captured `env` snapshot (see [`System::with_env`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SystemConfig::validate`] or
-    /// the workload does not cover every core.
-    pub fn reset_for_cell_env(
-        &mut self,
-        cfg: SystemConfig,
-        workload: &Workload,
-        mode: DriveMode,
-        env: &NocEnv,
-    ) {
-        cfg.validate().expect("valid configuration");
-        assert_eq!(workload.apps.len(), cfg.cores(), "one application per core");
-        self.net.reset(NetworkParams::resolve(&cfg, env));
-        self.mesh = Mesh::new(cfg.noc.width, cfg.noc.height);
+    /// Builds everything but the network for `self.cfg` and
+    /// `self.mode`: the body [`System::new`] and
+    /// [`System::reset_for_cell`] share.
+    fn load_cell(&mut self, workload: &Workload) {
+        let cfg = self.cfg;
+        let mode = self.mode;
         let banks_n = cfg.banks();
         let cap_factor = cfg.effective_capacity_factor();
+        self.mesh = Mesh::new(cfg.noc.width, cfg.noc.height);
         self.cores = (0..cfg.cores())
             .map(|i| OooCore::new(CoreId::new(i as u16), cfg.core))
             .collect();
@@ -310,10 +239,7 @@ impl System {
         self.pending_reads.clear();
         self.full_issue.clear();
         self.uncore_rtt = Accumulator::new();
-        self.uncore_rtt_tail = Reservoir::new(4096);
         self.fill_sink.clear();
-        self.cfg = cfg;
-        self.mode = mode;
     }
 
     /// All 64 cores run `profile` in profile-driven mode (the standard
@@ -762,24 +688,20 @@ impl System {
         }
     }
 
-    /// Switches on NoC fault injection for this run (programmatic
-    /// alternative to `SNOC_FAULTS`; safe under parallel sweeps where
-    /// mutating the environment would race).
+    /// Switches on NoC fault injection for this run. The summary lands
+    /// in [`RunMetrics::faults`].
     pub fn enable_faults(&mut self, plan: snoc_noc::FaultPlan) {
         self.net.enable_faults(plan);
     }
 
-    /// Switches on NoC invariant auditing for this run (programmatic
-    /// alternative to `SNOC_AUDIT`; safe under parallel sweeps where
-    /// mutating the environment would race). The report lands in
-    /// [`RunMetrics::audit`].
+    /// Switches on NoC invariant auditing for this run. The report
+    /// lands in [`RunMetrics::audit`].
     pub fn enable_audit(&mut self, cfg: snoc_noc::AuditConfig) {
         self.net.enable_audit(cfg);
     }
 
-    /// Switches on NoC telemetry collection for this run (programmatic
-    /// alternative to `SNOC_TELEMETRY`). The summary lands in
-    /// [`RunMetrics::telemetry`].
+    /// Switches on NoC telemetry collection for this run. The summary
+    /// lands in [`RunMetrics::telemetry`].
     pub fn enable_telemetry(&mut self, cfg: snoc_noc::TelemetryConfig) {
         self.net.enable_telemetry(cfg);
     }

@@ -1,15 +1,14 @@
 //! Audited conformance: every experiment of the evaluation section
-//! runs at quick scale with the NoC invariant auditor enabled
-//! (`SNOC_AUDIT=1`), and every cell must finish with zero violations —
+//! runs at quick scale with the NoC invariant auditor enabled on every
+//! cell, and every cell must finish with zero violations —
 //! packet conservation, credit/flit conservation and hold
 //! work-conservation all hold across the full configuration space the
 //! figures exercise.
 
-use snoc_core::experiments::{
-    ablations, fig10, fig12, fig13, fig14, fig3, fig6, fig7, fig8, fig9, table2, table3, Scale,
-};
+use snoc_core::experiments::{Registered, Scale, REGISTRY};
 use snoc_core::observer::RunObserver;
-use snoc_core::sweep::{Experiment, SweepRunner};
+use snoc_core::sweep::SweepRunner;
+use snoc_noc::AuditConfig;
 use std::sync::{Arc, Mutex};
 
 /// Collects violations surfaced through the observer hook.
@@ -31,7 +30,7 @@ impl RunObserver for Shared {
     }
 }
 
-fn check<E: Experiment>(exp: &E, collect: &Arc<Collect>) {
+fn check(exp: &Registered, collect: &Arc<Collect>) {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -40,17 +39,21 @@ fn check<E: Experiment>(exp: &E, collect: &Arc<Collect>) {
         .observer(Shared(collect.clone()));
     // Some experiments (table2) are static tables with no simulation
     // cells; their empty grids still go through the runner.
-    let cells = runner.run_grid(exp.name(), exp.grid(Scale::Quick));
+    let grid = (exp.grid)(Scale::Quick)
+        .into_iter()
+        .map(|spec| spec.with_audit(AuditConfig::default()))
+        .collect();
+    let cells = runner.run_grid(exp.name, grid);
     for cell in &cells {
         let metrics = cell.metrics(); // re-raises cell panics, labelled
         let audit = metrics
             .audit
             .as_ref()
-            .unwrap_or_else(|| panic!("{}: '{}' ran unaudited", exp.name(), cell.label));
+            .unwrap_or_else(|| panic!("{}: '{}' ran unaudited", exp.name, cell.label));
         assert!(
             audit.clean(),
             "{}: '{}' violated invariants over {} cycles: {:?}",
-            exp.name(),
+            exp.name,
             cell.label,
             audit.checked_cycles,
             audit.samples
@@ -60,20 +63,11 @@ fn check<E: Experiment>(exp: &E, collect: &Arc<Collect>) {
 
 #[test]
 fn every_experiment_is_invariant_clean_at_quick_scale() {
-    std::env::set_var("SNOC_AUDIT", "1");
     let collect = Arc::new(Collect::default());
-    check(&table2::Table2Exp, &collect);
-    check(&table3::Table3, &collect);
-    check(&fig3::Fig3, &collect);
-    check(&fig6::Fig6, &collect);
-    check(&fig7::Fig7, &collect);
-    check(&fig8::Fig8, &collect);
-    check(&fig9::Fig9, &collect);
-    check(&fig10::Fig10, &collect);
-    check(&fig12::Fig12, &collect);
-    check(&fig13::Fig13, &collect);
-    check(&fig14::Fig14, &collect);
-    check(&ablations::Ablations, &collect);
+    // Every registered experiment but the 16x16 scaling study.
+    for exp in REGISTRY.iter().filter(|e| e.name != "scaling") {
+        check(exp, &collect);
+    }
     let surfaced = collect.violations.lock().unwrap();
     assert!(
         surfaced.is_empty(),

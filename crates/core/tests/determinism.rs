@@ -6,10 +6,6 @@
 //! configuration. Fault campaigns replay per seed in `faults.rs`.
 //! Two FullStack cells are pinned to digests, since no checked-in
 //! result runs that drive mode.
-//!
-//! One `#[test]` for the 8x8 cells on purpose: it toggles the
-//! process-wide `SNOC_AUDIT` and `SNOC_TELEMETRY` environment
-//! variables, which must not race a parallel test.
 
 use snoc_common::config::SystemConfig;
 use snoc_common::fingerprint::StableHasher;
@@ -17,14 +13,18 @@ use snoc_core::experiments::Scale;
 use snoc_core::metrics::RunMetrics;
 use snoc_core::scenario::{buff20_config, Scenario};
 use snoc_core::system::{DriveMode, System};
-use snoc_noc::{AuditConfig, NocEnv};
+use snoc_noc::{AuditConfig, TelemetryConfig};
 use snoc_workload::mixes::Workload;
 use snoc_workload::table3 as t3;
 
-fn run_cell(scenario: Scenario) -> RunMetrics {
+/// Runs fig6's `sap` cell for `scenario` at quick scale, with whatever
+/// instrumentation `instrument` switches on.
+fn run_cell(scenario: Scenario, instrument: impl FnOnce(&mut System)) -> RunMetrics {
     let app = t3::by_name("sap").unwrap();
     let cfg = Scale::Quick.apply(scenario.config());
-    System::homogeneous(cfg, app).run()
+    let mut system = System::homogeneous(cfg, app);
+    instrument(&mut system);
+    system.run()
 }
 
 /// The full metrics record as a comparable string, minus the audit and
@@ -40,22 +40,19 @@ fn fingerprint(m: &RunMetrics) -> String {
 #[test]
 fn quick_cells_are_deterministic_and_audit_clean() {
     for scenario in [Scenario::Sram64Tsb, Scenario::SttRam4TsbWb] {
-        let first = run_cell(scenario);
-        let second = run_cell(scenario);
+        let first = run_cell(scenario, |_| {});
+        let second = run_cell(scenario, |_| {});
         assert_eq!(
             fingerprint(&first),
             fingerprint(&second),
             "{scenario:?}: repeated runs diverged"
         );
 
-        std::env::set_var("SNOC_AUDIT", "1");
-        let audited = run_cell(scenario);
-        std::env::remove_var("SNOC_AUDIT");
-
+        let audited = run_cell(scenario, |s| s.enable_audit(AuditConfig::default()));
         let report = audited
             .audit
             .clone()
-            .expect("SNOC_AUDIT enables the auditor");
+            .expect("enable_audit switches the auditor on");
         assert!(
             report.clean(),
             "{scenario:?}: audit violations: {:?}",
@@ -68,14 +65,11 @@ fn quick_cells_are_deterministic_and_audit_clean() {
             "{scenario:?}: auditing changed simulated behaviour"
         );
 
-        std::env::set_var("SNOC_TELEMETRY", "1");
-        let instrumented = run_cell(scenario);
-        std::env::remove_var("SNOC_TELEMETRY");
-
+        let instrumented = run_cell(scenario, |s| s.enable_telemetry(TelemetryConfig::default()));
         let summary = instrumented
             .telemetry
             .clone()
-            .expect("SNOC_TELEMETRY enables the collector");
+            .expect("enable_telemetry switches the collector on");
         assert!(summary.epochs_sampled > 0, "collector must have sampled");
         assert!(
             summary.class_latency.iter().any(|h| h.total() > 0),
@@ -90,10 +84,8 @@ fn quick_cells_are_deterministic_and_audit_clean() {
 }
 
 /// Determinism beyond the 8x8 point: one 16x16 / 16-region / 2-layer
-/// cell, run plain and then with the auditor attached through the
-/// race-free `System::enable_audit` (no env toggles, so this can be
-/// its own `#[test]`). The audited run must be violation-free and
-/// byte-identical to the plain one.
+/// cell, run plain and then with the auditor attached. The audited run
+/// must be violation-free and byte-identical to the plain one.
 #[test]
 fn sixteen_by_sixteen_cell_is_deterministic_and_audit_clean() {
     let app = t3::by_name("sap").unwrap();
@@ -130,9 +122,7 @@ fn sixteen_by_sixteen_cell_is_deterministic_and_audit_clean() {
 }
 
 /// A Quick full-stack cell (real L1/L2 tags, MESI coherence) running
-/// `app` on every core, built hermetically so the env toggles of the
-/// test above can never leak in. Returns the digest of its
-/// [`fingerprint`].
+/// `app` on every core. Returns the digest of its [`fingerprint`].
 fn full_stack_digest(cfg: SystemConfig, app: &str) -> String {
     let profile = t3::by_name(app).unwrap();
     let cfg = Scale::Quick.apply(cfg);
@@ -140,7 +130,7 @@ fn full_stack_digest(cfg: SystemConfig, app: &str) -> String {
         name: app.to_string(),
         apps: vec![profile; cfg.cores()],
     };
-    let m = System::with_env(cfg, &workload, DriveMode::FullStack, &NocEnv::default()).run();
+    let m = System::new(cfg, &workload, DriveMode::FullStack).run();
     let mut h = StableHasher::new();
     h.write_str(&fingerprint(&m));
     h.finish().to_hex()

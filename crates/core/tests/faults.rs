@@ -14,7 +14,7 @@ use snoc_core::metrics::RunMetrics;
 use snoc_core::scenario::Scenario;
 use snoc_core::system::System;
 use snoc_noc::fault::FaultSummary;
-use snoc_noc::FaultPlan;
+use snoc_noc::{AuditConfig, FaultPlan};
 use snoc_workload::table3 as t3;
 
 fn campaign_plan() -> FaultPlan {
@@ -37,6 +37,7 @@ fn run_campaign() -> RunMetrics {
     let app = t3::by_name("sap").expect("table 3 has sap");
     let mut system = System::homogeneous(cfg, app);
     system.enable_faults(campaign_plan());
+    system.enable_audit(AuditConfig::default());
     system.run()
 }
 
@@ -67,11 +68,6 @@ fn fingerprint(m: &RunMetrics) -> Fingerprint {
 
 #[test]
 fn audited_fault_campaign_is_conservation_clean_and_deterministic() {
-    // SAFETY-equivalent caveat: this is the only test in this binary
-    // that reads SNOC_AUDIT, and integration-test binaries get their
-    // own process, so setting it here races with nothing.
-    std::env::set_var("SNOC_AUDIT", "1");
-
     let first = run_campaign();
 
     let audit = first.audit.as_ref().expect("auditor was on");

@@ -1,4 +1,4 @@
-//! Tier-1 integration tests for the `snoc-serve` sweep service:
+//! Tier-1 integration tests for the `snoc serve` sweep service:
 //! concurrent clients with overlapping grids dedup against one cache,
 //! a panicking cell leaves the server serving, and every result that
 //! comes back over the wire is byte-identical to the same spec run
@@ -9,7 +9,6 @@ use snoc_core::serve::json::Json;
 use snoc_core::serve::protocol::{CellRequest, JobRequest};
 use snoc_core::serve::{jobs, ServeOptions, Server};
 use snoc_core::sweep::SweepRunner;
-use snoc_noc::NocEnv;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::Shutdown;
@@ -20,12 +19,9 @@ fn sock(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("snoc-serve-{}-{tag}.sock", std::process::id()))
 }
 
-/// Hermetic server options: the test process environment must never
-/// leak into a job, whatever other tests set.
-fn hermetic(tag: &str) -> ServeOptions {
-    let mut opts = ServeOptions::new(sock(tag));
-    opts.env = NocEnv::default();
-    opts
+/// Default server options on a per-test socket.
+fn options(tag: &str) -> ServeOptions {
+    ServeOptions::new(sock(tag))
 }
 
 /// One-shot client: send a line, half-close, collect the parsed
@@ -82,7 +78,7 @@ fn cell_req(label: &str, scenario: &str, app: &str) -> CellRequest {
 
 #[test]
 fn concurrent_clients_dedup_jobs_and_share_the_cell_cache() {
-    let server = Server::start(hermetic("concurrent")).expect("start");
+    let server = Server::start(options("concurrent")).expect("start");
     let socket = server.socket().to_path_buf();
 
     // Three distinct cells; five clients submit overlapping pairs, and
@@ -168,7 +164,7 @@ fn concurrent_clients_dedup_jobs_and_share_the_cell_cache() {
 
 #[test]
 fn a_panicking_cell_fails_alone_and_the_server_keeps_serving() {
-    let server = Server::start(hermetic("panic")).expect("start");
+    let server = Server::start(options("panic")).expect("start");
     let socket = server.socket();
 
     // `regions:3` cannot tile the 8x8 mesh; the System constructor
@@ -235,7 +231,7 @@ fn served_results_are_byte_identical_to_a_direct_sweep() {
         } else {
             "bytes-uncached"
         };
-        let mut opts = hermetic(tag);
+        let mut opts = options(tag);
         opts.cache = cache;
         let server = Server::start(opts).expect("start");
 
@@ -250,20 +246,15 @@ fn served_results_are_byte_identical_to_a_direct_sweep() {
             &format!("{{\"op\":\"results\",\"job\":\"{job}\"}}"),
         );
 
-        // The same grid, straight through the sweep runner (hermetic
-        // env, no cache — the reference path).
+        // The same grid, straight through the sweep runner (no cache —
+        // the reference path).
         let req = JobRequest::Cells(vec![
             cell_req("x", "MRAM-4TSB-WB", "sap"),
             cell_req("y", "SRAM-64TSB", "vips"),
         ]);
         let (_, grid) = jobs::build_grid(&req).expect("grid");
-        let grid: Vec<_> = grid
-            .into_iter()
-            .map(|s| s.resolve_env(&NocEnv::default()))
-            .collect();
         assert_eq!(jobs::job_key(&grid).to_hex(), job, "wire job key matches");
         let direct = SweepRunner::new()
-            .noc_env(NocEnv::default())
             .cache(false)
             .run_grid("serve-reference", grid);
 
@@ -294,7 +285,7 @@ fn served_results_are_byte_identical_to_a_direct_sweep() {
 
 #[test]
 fn shutdown_aborts_queued_jobs_and_unblocks_waiting_clients() {
-    let server = Server::start(hermetic("abort")).expect("start");
+    let server = Server::start(options("abort")).expect("start");
     let socket = server.socket().to_path_buf();
 
     // Keep the executor busy, then queue a second job behind it and
@@ -312,10 +303,6 @@ fn shutdown_aborts_queued_jobs_and_unblocks_waiting_clients() {
         "tpcc",
     )]))
     .expect("grid");
-    let grid: Vec<_> = grid
-        .into_iter()
-        .map(|s| s.resolve_env(&NocEnv::default()))
-        .collect();
     let stuck_key = jobs::job_key(&grid).to_hex();
 
     let waiter = std::thread::spawn({

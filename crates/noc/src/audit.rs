@@ -32,11 +32,8 @@
 //!   window-based parent not marked for refresh must already hold its
 //!   fresh congestion estimates.
 //!
-//! Enable it with [`AuditConfig`] in
-//! [`crate::NetworkParams::audit`] or via the `SNOC_AUDIT`
-//! environment variable (`1`/`true`/`on` to collect violations,
-//! `panic` to abort on the first one; `SNOC_AUDIT_MAX_AGE` overrides
-//! the age bound).
+//! Enable it with [`AuditConfig`] in [`crate::NetworkParams::audit`]
+//! or [`crate::Network::enable_audit`].
 
 use crate::estimator::EstimatorState;
 use crate::network::Network;
@@ -67,29 +64,6 @@ impl Default for AuditConfig {
             hold_strike_limit: 8,
             panic_on_violation: false,
         }
-    }
-}
-
-impl AuditConfig {
-    /// Reads the `SNOC_AUDIT` / `SNOC_AUDIT_MAX_AGE` environment
-    /// hooks: `None` when auditing is off.
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("SNOC_AUDIT").ok()?;
-        let mut cfg = match raw.to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" => Self::default(),
-            "panic" => Self {
-                panic_on_violation: true,
-                ..Self::default()
-            },
-            _ => return None,
-        };
-        if let Some(age) = std::env::var("SNOC_AUDIT_MAX_AGE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            cfg.max_age = age;
-        }
-        Some(cfg)
     }
 }
 

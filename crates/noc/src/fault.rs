@@ -32,8 +32,8 @@
 //!
 //! All of it is opt-in and zero-cost when off, following the
 //! audit/telemetry pattern: a [`FaultPlan`] in
-//! [`crate::NetworkParams::faults`] (or the `SNOC_FAULTS` environment
-//! variable) allocates a boxed [`FaultState`] whose absence costs the
+//! [`crate::NetworkParams::faults`] (or [`crate::Network::enable_faults`])
+//! allocates a boxed [`FaultState`] whose absence costs the
 //! hot path one cold-pointer branch. Every stochastic decision draws
 //! from a [`SimRng`] stream derived from the plan's own seed, so a
 //! faulty run is byte-reproducible: same plan, same seed, same faults,
@@ -57,8 +57,8 @@ const LATERAL: [Direction; 4] = [
 ///
 /// Rates are per-cycle event probabilities: each cycle, each fault
 /// class independently fires at most one event, with a uniformly drawn
-/// victim. The defaults describe a modest mixed campaign; `SNOC_FAULTS=1`
-/// enables exactly these values.
+/// victim. The defaults describe a modest mixed campaign;
+/// [`FaultPlan::parse`]`("1")` yields exactly these values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the injector's private RNG stream (independent of the
@@ -118,65 +118,57 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// Reads the `SNOC_FAULTS` environment hook: `None` when fault
-    /// injection is off.
+    /// Parses a `SNOC_FAULTS`-style specification: `Ok(None)` when it
+    /// switches injection off.
     ///
-    /// `1`/`true`/`on` enables the default campaign; otherwise the
-    /// value is a comma-separated `key=value` list overriding the
-    /// defaults, e.g.
-    /// `SNOC_FAULTS=seed=7,tsb=1e-3,bank=2e-3,kill_tsb=50000`.
-    /// Recognized keys: `seed`, `tsb`, `link`, `port`, `bank`, `drop`,
-    /// `outage`, `stuck`, `busy_cap`, `kill_tsb`, `retry_base`,
-    /// `retry_cap`, `max_retries`, `expiry`. Unknown keys and
-    /// unparsable values are ignored.
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("SNOC_FAULTS").ok()?;
-        Self::parse(&raw)
-    }
-
-    /// Parses a `SNOC_FAULTS`-style specification string.
-    pub fn parse(raw: &str) -> Option<Self> {
+    /// `0`/`off`/`false` (or nothing) is off and `1`/`true`/`on` is the
+    /// default campaign. Anything else is a comma-separated
+    /// `key=value` list overriding the defaults, e.g.
+    /// `seed=7,tsb=1e-3,bank=2e-3,kill_tsb=50000`. The keys are
+    /// `seed`, `tsb`, `link`, `port`, `bank`, `drop`, `outage`,
+    /// `stuck`, `busy_cap`, `kill_tsb`, `retry_base`, `retry_cap`,
+    /// `max_retries` and `expiry`.
+    ///
+    /// # Errors
+    ///
+    /// A pair that is not `key=value`, an unknown key, or a value that
+    /// does not parse as its field's type.
+    pub fn parse(raw: &str) -> Result<Option<Self>, String> {
         match raw.trim().to_ascii_lowercase().as_str() {
-            "" | "0" | "off" | "false" => return None,
-            "1" | "true" | "on" => return Some(Self::default()),
+            "" | "0" | "off" | "false" => return Ok(None),
+            "1" | "true" | "on" => return Ok(Some(Self::default())),
             _ => {}
         }
         let mut plan = Self::default();
         for pair in raw.split(',') {
             let Some((key, value)) = pair.split_once('=') else {
-                continue;
+                return Err(format!("`{pair}` is not key=value"));
             };
             let (key, value) = (key.trim(), value.trim());
-            macro_rules! set {
-                ($field:ident) => {
-                    if let Ok(v) = value.parse() {
-                        plan.$field = v;
-                    }
-                };
+            fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+                value
+                    .parse()
+                    .map_err(|_| format!("{key}: `{value}` is not a valid value"))
             }
             match key {
-                "seed" => set!(seed),
-                "tsb" => set!(tsb_rate),
-                "link" => set!(link_rate),
-                "port" => set!(port_rate),
-                "bank" => set!(bank_rate),
-                "drop" => set!(drop_rate),
-                "outage" => set!(outage_cycles),
-                "stuck" => set!(stuck_cycles),
-                "busy_cap" => set!(busy_cap),
-                "kill_tsb" => {
-                    if let Ok(v) = value.parse() {
-                        plan.kill_tsb_at = Some(v);
-                    }
-                }
-                "retry_base" => set!(retry_base),
-                "retry_cap" => set!(retry_cap),
-                "max_retries" => set!(max_retries),
-                "expiry" => set!(expiry_period),
-                _ => {}
+                "seed" => plan.seed = num(key, value)?,
+                "tsb" => plan.tsb_rate = num(key, value)?,
+                "link" => plan.link_rate = num(key, value)?,
+                "port" => plan.port_rate = num(key, value)?,
+                "bank" => plan.bank_rate = num(key, value)?,
+                "drop" => plan.drop_rate = num(key, value)?,
+                "outage" => plan.outage_cycles = num(key, value)?,
+                "stuck" => plan.stuck_cycles = num(key, value)?,
+                "busy_cap" => plan.busy_cap = num(key, value)?,
+                "kill_tsb" => plan.kill_tsb_at = Some(num(key, value)?),
+                "retry_base" => plan.retry_base = num(key, value)?,
+                "retry_cap" => plan.retry_cap = num(key, value)?,
+                "max_retries" => plan.max_retries = num(key, value)?,
+                "expiry" => plan.expiry_period = num(key, value)?,
+                _ => return Err(format!("unknown key `{key}`")),
             }
         }
-        Some(plan)
+        Ok(Some(plan))
     }
 }
 
@@ -498,13 +490,15 @@ mod tests {
 
     #[test]
     fn parse_accepts_switches_and_overrides() {
-        assert!(FaultPlan::parse("0").is_none());
-        assert!(FaultPlan::parse("off").is_none());
-        assert!(FaultPlan::parse("").is_none());
-        assert_eq!(FaultPlan::parse("1"), Some(FaultPlan::default()));
-        assert_eq!(FaultPlan::parse("on"), Some(FaultPlan::default()));
+        assert_eq!(FaultPlan::parse("0"), Ok(None));
+        assert_eq!(FaultPlan::parse("off"), Ok(None));
+        assert_eq!(FaultPlan::parse(""), Ok(None));
+        assert_eq!(FaultPlan::parse("1"), Ok(Some(FaultPlan::default())));
+        assert_eq!(FaultPlan::parse("on"), Ok(Some(FaultPlan::default())));
 
-        let p = FaultPlan::parse("seed=7,tsb=0.001,kill_tsb=5000,max_retries=3").unwrap();
+        let p = FaultPlan::parse("seed=7,tsb=0.001,kill_tsb=5000,max_retries=3")
+            .unwrap()
+            .unwrap();
         assert_eq!(p.seed, 7);
         assert_eq!(p.tsb_rate, 0.001);
         assert_eq!(p.kill_tsb_at, Some(5_000));
@@ -512,10 +506,17 @@ mod tests {
         // Untouched keys keep their defaults.
         assert_eq!(p.retry_base, FaultPlan::default().retry_base);
 
-        // Unknown keys and garbage values are ignored, not fatal.
-        let q = FaultPlan::parse("bogus=1,drop=not_a_number,bank=0.01").unwrap();
-        assert_eq!(q.drop_rate, FaultPlan::default().drop_rate);
-        assert_eq!(q.bank_rate, 0.01);
+        // Unknown keys, garbage values and bare words are errors.
+        for bad in [
+            "bogus=1,bank=0.01",
+            "drop=not_a_number",
+            "seed=-1",
+            "tsb",
+            "seed=1,",
+        ] {
+            assert!(FaultPlan::parse(bad).is_err(), "{bad} must be rejected");
+        }
+        assert!(FaultPlan::parse("bogus=1").unwrap_err().contains("bogus"));
     }
 
     #[test]

@@ -11,13 +11,13 @@
 //! # Example
 //!
 //! ```
-//! use snoc_noc::network::{Network, NetworkParams};
+//! use snoc_noc::network::{Network, NetworkParams, NocEnv};
 //! use snoc_noc::packet::{Packet, PacketKind};
 //! use snoc_common::config::SystemConfig;
 //! use snoc_common::geom::{Coord, Layer};
 //!
 //! let cfg = SystemConfig::default();
-//! let mut net = Network::new(NetworkParams::from_config(&cfg));
+//! let mut net = Network::new(NetworkParams::resolve(&cfg, &NocEnv::default()));
 //! let src = Coord::new(0, 0, Layer::Core);
 //! let dst = Coord::new(7, 7, Layer::Cache);
 //! net.inject(Packet::new(PacketKind::BankRead, src, dst, 0x1000, 1));

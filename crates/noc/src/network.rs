@@ -60,53 +60,27 @@ pub struct NetworkParams {
     pub faults: Option<FaultPlan>,
 }
 
-/// A one-time snapshot of the NoC environment fallbacks
-/// (`SNOC_AUDIT`, `SNOC_TELEMETRY`, `SNOC_FAULTS`).
+/// The NoC instrumentation a caller asks for: invariant auditing,
+/// telemetry and fault injection, each `None` when off.
 ///
-/// [`NetworkParams::from_config`] historically read those variables at
-/// *construction time*, i.e. once per simulation cell. In a
-/// long-running multi-tenant process (the sweep server) that is
-/// cross-job contamination: an environment mutation between accepting
-/// a job and running its cells would alter the accepted job. Capturing
-/// the environment once into a `NocEnv` and resolving parameters
-/// through [`NetworkParams::resolve`] pins every cell to the snapshot
-/// taken at startup. `NocEnv::default()` is the hermetic "no
-/// environment" snapshot (everything off).
-#[derive(Debug, Clone, Copy, Default)]
+/// The library never reads the process environment. The `snoc` binary
+/// parses `SNOC_AUDIT`, `SNOC_TELEMETRY` and `SNOC_FAULTS` into one of
+/// these at start-up and hands it down; everything else passes
+/// `NocEnv::default()`, which switches all three off. The name stays
+/// because the `benchmark/` crate compiles against it.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NocEnv {
-    /// `SNOC_AUDIT` resolution (`None` = off).
+    /// Invariant auditing (`None` = off).
     pub audit: Option<AuditConfig>,
-    /// `SNOC_TELEMETRY` resolution (`None` = off).
+    /// Telemetry collection (`None` = off).
     pub telemetry: Option<TelemetryConfig>,
-    /// `SNOC_FAULTS` resolution (`None` = off).
+    /// Fault-injection campaign (`None` = off).
     pub faults: Option<FaultPlan>,
-}
-
-impl NocEnv {
-    /// Reads all three fallback variables, once, now.
-    pub fn capture() -> Self {
-        Self {
-            audit: AuditConfig::from_env(),
-            telemetry: TelemetryConfig::from_env(),
-            faults: FaultPlan::from_env(),
-        }
-    }
 }
 
 impl NetworkParams {
     /// Derives the network parameters from a full system
-    /// configuration, reading the environment fallbacks *now* (the
-    /// historical per-cell behaviour; single-shot binaries and direct
-    /// [`Network::new`] users keep it). Multi-cell engines should
-    /// capture a [`NocEnv`] once and call [`NetworkParams::resolve`].
-    pub fn from_config(cfg: &SystemConfig) -> Self {
-        Self::resolve(cfg, &NocEnv::capture())
-    }
-
-    /// Derives the network parameters from a full system
-    /// configuration, with every environment fallback taken from the
-    /// pre-captured `env` snapshot instead of the live process
-    /// environment.
+    /// configuration, with the instrumentation `env` asks for.
     pub fn resolve(cfg: &SystemConfig, env: &NocEnv) -> Self {
         Self {
             noc: cfg.noc,
@@ -1098,23 +1072,20 @@ impl Network {
         self.routing = RoutingTable::new(self.mesh, self.params.path_mode, regions);
     }
 
-    /// Switches fault injection on mid-construction (programmatic
-    /// alternative to `SNOC_FAULTS`, race-free under parallel sweeps).
+    /// Switches fault injection on before the first cycle.
     pub fn enable_faults(&mut self, plan: FaultPlan) {
         self.params.faults = Some(plan);
         self.faults = Some(Box::new(FaultState::new(plan, self.routers.len())));
     }
 
-    /// Switches invariant auditing on mid-construction (programmatic
-    /// alternative to `SNOC_AUDIT`, race-free under parallel sweeps).
+    /// Switches invariant auditing on before the first cycle.
     pub fn enable_audit(&mut self, cfg: AuditConfig) {
         self.params.audit = Some(cfg);
         self.auditor = Some(Box::new(NetAuditor::new(cfg)));
     }
 
-    /// Switches telemetry collection on mid-construction (programmatic
-    /// alternative to `SNOC_TELEMETRY`, race-free under parallel
-    /// sweeps). Also installs the per-router taps the collector drains.
+    /// Switches telemetry collection on before the first cycle. Also
+    /// installs the per-router taps the collector drains.
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
         self.params.telemetry = Some(cfg);
         self.telemetry = Some(Box::new(NetTelemetry::new(

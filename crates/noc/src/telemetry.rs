@@ -19,12 +19,10 @@
 //!
 //! The collector follows the [`crate::audit::NetAuditor`] pattern: it
 //! is `Option<Box<_>>` off the hot state in [`crate::Network`], wired
-//! through [`crate::NetworkParams::telemetry`] or the `SNOC_TELEMETRY`
-//! environment variable (`1`/`true`/`on`; `SNOC_TELEMETRY_EPOCH` and
-//! `SNOC_TELEMETRY_TRACE` override the sampling period and the trace
-//! capacity). When it is `None` — the default — every hook is a single
-//! branch on a cold pointer and the simulation is byte-identical to an
-//! uninstrumented build.
+//! through [`crate::NetworkParams::telemetry`] or
+//! [`crate::Network::enable_telemetry`]. When it is `None` — the
+//! default — every hook is a single branch on a cold pointer and the
+//! simulation is byte-identical to an uninstrumented build.
 
 use crate::packet::TrafficClass;
 use crate::router::{Router, PORTS};
@@ -58,32 +56,6 @@ impl Default for TelemetryConfig {
             epoch: 64,
             trace_capacity: 4096,
         }
-    }
-}
-
-impl TelemetryConfig {
-    /// Reads the `SNOC_TELEMETRY` / `SNOC_TELEMETRY_EPOCH` /
-    /// `SNOC_TELEMETRY_TRACE` environment hooks: `None` when telemetry
-    /// is off.
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("SNOC_TELEMETRY").ok()?;
-        let mut cfg = match raw.to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" => Self::default(),
-            _ => return None,
-        };
-        if let Some(epoch) = std::env::var("SNOC_TELEMETRY_EPOCH")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            cfg.epoch = epoch;
-        }
-        if let Some(cap) = std::env::var("SNOC_TELEMETRY_TRACE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            cfg.trace_capacity = cap;
-        }
-        Some(cfg)
     }
 }
 
@@ -619,10 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn from_env_shapes() {
-        // Only the parsing helpers are testable without touching the
-        // process environment; `from_env` itself is covered by the
-        // determinism integration test.
+    fn default_shapes() {
         assert_eq!(TelemetryConfig::default().epoch, 64);
         assert_eq!(TelemetryConfig::default().trace_capacity, 4096);
     }

@@ -13,13 +13,17 @@
 //! cargo run --release --example capacity_vs_writes
 //! ```
 
-use sttram_noc_repro::sim::experiments::table2;
+use sttram_noc_repro::sim::experiments::{table2, Scale};
 use sttram_noc_repro::sim::scenario::Scenario;
+use sttram_noc_repro::sim::sweep::SweepRunner;
 use sttram_noc_repro::sim::system::System;
 use sttram_noc_repro::workload::table3;
 
 fn main() {
-    println!("{}", table2::run());
+    println!(
+        "{}",
+        SweepRunner::new().run(&table2::Table2Exp, Scale::Quick)
+    );
 
     // From most read-intensive to most write-intensive.
     let apps = [

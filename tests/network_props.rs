@@ -9,7 +9,7 @@ use sttram_noc_repro::common::config::{
 };
 use sttram_noc_repro::common::geom::{Coord, Layer, Mesh};
 use sttram_noc_repro::common::rng::SimRng;
-use sttram_noc_repro::noc::{NetworkParams, Packet, PacketKind};
+use sttram_noc_repro::noc::{NetworkParams, NocEnv, Packet, PacketKind};
 
 fn params(
     mode: RequestPathMode,
@@ -26,7 +26,7 @@ fn params(
         parent_hops: hops,
         ..SystemConfig::default()
     };
-    NetworkParams::from_config(&cfg)
+    NetworkParams::resolve(&cfg, &NocEnv::default())
 }
 
 fn kind_of(i: usize) -> PacketKind {
