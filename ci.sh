@@ -3,17 +3,18 @@
 # test of every workspace crate in release (among them the audited
 # all-experiment sweep, the determinism and FullStack-digest pins, the
 # fault campaign, the serve, cache, conformance and snoc CLI suites and
-# every unit test), an env-read guard (no library crate reads the
-# environment), a strict-CLI check (a typo'd flag or SNOC_* variable
-# must fail without touching any file), a sweep determinism smoke test
-# (SNOC_THREADS must not change `snoc repro`'s stdout), a sweep-cache
-# leg (a warm rerun must be byte-identical, cache-served, and at least
-# 2x faster), a perf smoke gated against the tracked baseline,
-# telemetry, faults and scaling smokes, a `snoc serve` smoke (daemon
-# simulates a cell once, serves the repeat from cache, dedups an
-# identical resubmission, and shuts down cleanly), a byte-identity leg
-# (every legacy results/ file must regenerate exactly), and an optional
-# coverage floor.
+# every unit test), the NoC crate's tests again in debug so its
+# debug_asserts run on the lockstep suites, an env-read guard (no
+# library crate reads the environment), a strict-CLI check (a typo'd
+# flag or SNOC_* variable must fail without touching any file), a
+# sweep determinism smoke test (SNOC_THREADS must not change `snoc
+# repro`'s stdout), a sweep-cache leg (a warm rerun must be
+# byte-identical, cache-served, and at least 2x faster), a perf smoke
+# gated against the tracked baseline, telemetry, faults and scaling
+# smokes, a `snoc serve` smoke (daemon simulates a cell once, serves
+# the repeat from cache, dedups an identical resubmission, and shuts
+# down cleanly), a byte-identity leg (every legacy results/ file must
+# regenerate exactly), and an optional coverage floor.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -35,6 +36,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== workspace: every crate's tests in release =="
 cargo test --release --workspace -q
+
+echo "== NoC tests in debug: the workspace's ring, credit and cache debug_asserts run =="
+cargo test -p snoc-noc -q
 
 echo "== env guard: no library crate reads or writes the environment =="
 if grep -rEn 'std::env::(var|vars|set_var|remove_var|args)' \

@@ -637,11 +637,28 @@ impl SystemConfig {
         if self.noc.width < 2 || self.noc.height < 2 {
             return Err("mesh must be at least 2x2 (corner memory controllers)".into());
         }
-        if self.noc.vcs_per_port == 0 {
-            return Err("vcs_per_port must be at least 1".into());
+        // The NoC allocator's limits: every traffic class needs a VC,
+        // a router's 7 ports x VCs must fit one 64-bit allocation mask,
+        // buffer depths and credits are u8, and a wide TSB grant moves
+        // at most `snoc_noc::router::MAX_BURST` (4) flits.
+        if !(3..=9).contains(&self.noc.vcs_per_port) {
+            return Err(format!(
+                "vcs_per_port must be in 3..=9 (one VC per traffic class, 7 ports x VCs \
+                 within a 64-bit mask), got {}",
+                self.noc.vcs_per_port
+            ));
         }
-        if self.noc.vc_depth == 0 {
-            return Err("vc_depth must be at least 1".into());
+        if !(1..=255).contains(&self.noc.vc_depth) {
+            return Err(format!(
+                "vc_depth must be in 1..=255, got {}",
+                self.noc.vc_depth
+            ));
+        }
+        if self.noc.tsb_width_factor > 4 {
+            return Err(format!(
+                "tsb_width_factor must be at most 4 (the NoC's largest burst), got {}",
+                self.noc.tsb_width_factor
+            ));
         }
         crate::geom::Geometry::try_new(
             crate::geom::Mesh::new(self.noc.width, self.noc.height),
@@ -709,6 +726,45 @@ mod tests {
         assert!(c.validate().is_err());
         c.regions = 16;
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_vc_counts_the_allocator_cannot_represent() {
+        let with_vcs = |vcs| {
+            let mut c = SystemConfig::default();
+            c.noc.vcs_per_port = vcs;
+            c.validate()
+        };
+        for vcs in [0, 1, 2, 10, 64] {
+            assert!(with_vcs(vcs).is_err(), "{vcs} VCs must be rejected");
+        }
+        for vcs in 3..=9 {
+            assert!(with_vcs(vcs).is_ok(), "{vcs} VCs must validate");
+        }
+    }
+
+    #[test]
+    fn validation_rejects_vc_depths_past_a_u8_credit() {
+        let with_depth = |depth| {
+            let mut c = SystemConfig::default();
+            c.noc.vc_depth = depth;
+            c.validate()
+        };
+        assert!(with_depth(0).is_err());
+        assert!(with_depth(1).is_ok());
+        assert!(with_depth(255).is_ok());
+        assert!(with_depth(256).is_err());
+    }
+
+    #[test]
+    fn validation_rejects_tsb_widths_past_the_burst_bound() {
+        let with_width = |w| {
+            let mut c = SystemConfig::default();
+            c.noc.tsb_width_factor = w;
+            c.validate()
+        };
+        assert!(with_width(4).is_ok());
+        assert!(with_width(5).is_err());
     }
 
     #[test]

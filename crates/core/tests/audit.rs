@@ -1,9 +1,10 @@
 //! Audited conformance: every experiment of the evaluation section
 //! runs at quick scale with the NoC invariant auditor enabled on every
 //! cell, and every cell must finish with zero violations —
-//! packet conservation, credit/flit conservation and hold
-//! work-conservation all hold across the full configuration space the
-//! figures exercise.
+//! packet conservation, credit/flit conservation, hold
+//! work-conservation, wake-list completeness and the allocator's
+//! derived state (front-ready lanes, SA port masks) all hold across
+//! the full configuration space the figures exercise.
 
 use snoc_core::experiments::{Registered, Scale, REGISTRY};
 use snoc_core::observer::RunObserver;

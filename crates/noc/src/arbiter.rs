@@ -1,51 +1,30 @@
-//! Round-robin arbitration helpers.
+//! Round-robin arbitration over bitmasks.
 //!
 //! Routers use rotating-priority (round-robin) arbiters for VC and
-//! switch allocation; the bank-aware policy layers a two-level priority
-//! on top (high-priority candidates always beat low-priority ones, with
-//! round-robin within each level).
+//! switch allocation. Both keep their candidates as bitmasks, so one
+//! primitive serves both: the first candidate after the last winner,
+//! wrapping around. The bank-aware policy's SA priority levels are
+//! layered on top by the switch allocator itself.
 
-/// Picks the first index `i` in rotating order starting *after*
-/// `last` (wrapping over `n`) for which `eligible(i)` holds.
-pub fn rr_pick(last: usize, n: usize, mut eligible: impl FnMut(usize) -> bool) -> Option<usize> {
-    if n == 0 {
-        return None;
-    }
-    for off in 1..=n {
-        let i = (last + off) % n;
-        if eligible(i) {
-            return Some(i);
-        }
-    }
-    None
-}
-
-/// Two-level prioritized round robin: picks among high-priority
-/// candidates first, falling back to low-priority ones. `priority(i)`
-/// returns `None` when `i` is not a candidate at all.
-pub fn rr_pick_prioritized(
-    last: usize,
-    n: usize,
-    mut priority: impl FnMut(usize) -> Option<bool>,
-) -> Option<usize> {
-    let mut fallback = None;
-    if n == 0 {
-        return None;
-    }
-    for off in 1..=n {
-        let i = (last + off) % n;
-        match priority(i) {
-            Some(true) => return Some(i),
-            Some(false) if fallback.is_none() => fallback = Some(i),
-            _ => {}
-        }
-    }
-    fallback
+/// The first set bit of `eligible` in rotating order starting *after*
+/// bit `last`: the lowest set bit above `last`, else the lowest set
+/// bit overall (the wrap-around), or `None` when no bit is set.
+///
+/// Over an `n`-bit mask with `last < n` this visits exactly the order
+/// of the modulo loop `(last + 1..=last + n) % n`, without a division
+/// per step.
+#[inline]
+pub fn rr_pick(eligible: u64, last: usize) -> Option<usize> {
+    debug_assert!(last < 64, "rotation pointer {last} outside a u64 mask");
+    let above = eligible & (u64::MAX << 1).wrapping_shl(last as u32);
+    let pool = if above != 0 { above } else { eligible };
+    (pool != 0).then(|| pool.trailing_zeros() as usize)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snoc_common::rng::SimRng;
 
     #[test]
     fn rr_rotates_fairly() {
@@ -54,7 +33,7 @@ mod tests {
         let mut last = 0;
         let mut seen = Vec::new();
         for _ in 0..4 {
-            last = rr_pick(last, 4, |_| true).unwrap();
+            last = rr_pick(0b1111, last).unwrap();
             seen.push(last);
         }
         assert_eq!(seen, vec![1, 2, 3, 0]);
@@ -62,38 +41,28 @@ mod tests {
 
     #[test]
     fn rr_skips_ineligible() {
-        assert_eq!(rr_pick(0, 4, |i| i == 3), Some(3));
-        assert_eq!(rr_pick(3, 4, |i| i == 3), Some(3));
-        assert_eq!(rr_pick(0, 4, |_| false), None);
-        assert_eq!(rr_pick(0, 0, |_| true), None);
+        assert_eq!(rr_pick(0b1000, 0), Some(3));
+        assert_eq!(rr_pick(0b1000, 3), Some(3));
+        assert_eq!(rr_pick(0b0010, 3), Some(1), "wraps past the top");
+        assert_eq!(rr_pick(0, 0), None);
+        assert_eq!(rr_pick(1 << 63, 63), Some(63), "top bit wraps to itself");
     }
 
     #[test]
-    fn prioritized_prefers_high() {
-        // Index 1 is low priority, index 3 high: 3 wins even though 1
-        // comes first in rotation order.
-        let pick = rr_pick_prioritized(0, 4, |i| match i {
-            1 => Some(false),
-            3 => Some(true),
-            _ => None,
-        });
-        assert_eq!(pick, Some(3));
-    }
-
-    #[test]
-    fn prioritized_falls_back_to_low() {
-        let pick = rr_pick_prioritized(0, 4, |i| (i == 2).then_some(false));
-        assert_eq!(pick, Some(2));
-        assert_eq!(rr_pick_prioritized(0, 4, |_| None), None);
-    }
-
-    #[test]
-    fn prioritized_is_round_robin_within_a_level() {
-        // All high priority: rotates like plain round robin.
-        let mut last = 2;
-        last = rr_pick_prioritized(last, 3, |_| Some(true)).unwrap();
-        assert_eq!(last, 0);
-        last = rr_pick_prioritized(last, 3, |_| Some(true)).unwrap();
-        assert_eq!(last, 1);
+    fn rr_pick_matches_the_modulo_loop_over_random_masks() {
+        let mut rng = SimRng::for_stream(0xA4B1, 0);
+        for _ in 0..20_000 {
+            let n = 1 + rng.below(9);
+            let last = rng.below(n);
+            let eligible = rng.bits() & ((1u64 << n) - 1);
+            let want = (1..=n)
+                .map(|off| (last + off) % n)
+                .find(|&i| eligible >> i & 1 == 1);
+            assert_eq!(
+                rr_pick(eligible, last),
+                want,
+                "mask {eligible:#b}, last {last}, n {n}"
+            );
+        }
     }
 }

@@ -31,6 +31,11 @@
 //!   delivered packets must be on the matching list, and every
 //!   window-based parent not marked for refresh must already hold its
 //!   fresh congestion estimates.
+//! * **Derived allocation state** — the caches the allocator reads in
+//!   place of the lanes they summarise must match them: every
+//!   non-empty lane's front-ready cycle equals its front flit's
+//!   `ready_at`, and every router's SA port mask is the OR of its
+//!   non-zero `sa_mask` words.
 //!
 //! Enable it with [`AuditConfig`] in [`crate::NetworkParams::audit`]
 //! or [`crate::Network::enable_audit`].
@@ -174,6 +179,7 @@ impl NetAuditor {
         self.check_credits(net, now);
         self.check_holds(net, now);
         self.check_wake_lists(net, now);
+        self.check_allocation_state(net, now);
         self.report.checked_cycles += 1;
     }
 
@@ -352,6 +358,44 @@ impl NetAuditor {
                         format_args!(
                             "WB parent {coord:?} is not marked for refresh but holds \
                              congestion {have} for {bank:?}, fresh estimate {fresh}"
+                        ),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Derived allocation state: the front-ready lane cache and the SA
+    /// port masks agree with the lanes and masks they are derived from.
+    fn check_allocation_state(&mut self, net: &Network, now: Cycle) {
+        let ws = net.workspace();
+        for (idx, r) in net.routers.iter().enumerate() {
+            let coord = r.coord();
+            let (cached, derived) = r.sa_port_masks();
+            if cached != derived {
+                self.violation(
+                    now,
+                    format_args!(
+                        "SA port mask at {coord:?} is {cached:#09b}, \
+                         its sa_mask words imply {derived:#09b}"
+                    ),
+                );
+            }
+            if ws.buffered(idx) == 0 {
+                continue;
+            }
+            let base = ws.router_base(idx);
+            for flat in 0..crate::router::PORTS * r.vcs() {
+                let lane = base + flat;
+                if !ws.front_ready_is_exact(lane) {
+                    let (port, vc) = (flat / r.vcs(), flat % r.vcs());
+                    let cached = ws.front_ready_at(lane);
+                    let ring = ws.flit_at(lane, 0).ready_at;
+                    self.violation(
+                        now,
+                        format_args!(
+                            "front-ready cache at {coord:?} port {port} vc {vc} says \
+                             {cached}, front flit is ready at {ring}"
                         ),
                     );
                 }

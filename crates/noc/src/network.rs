@@ -257,8 +257,9 @@ pub struct Network {
     /// Per-router buffer occupancy (0..=255) read by RCA propagation;
     /// persistent scratch, rewritten every cycle.
     occupancy: Vec<u8>,
-    /// Switch moves granted this cycle, in VA/SA visit order; applied
-    /// after every router has allocated (persistent scratch).
+    /// Switch moves granted this cycle, in VA/SA visit order, written
+    /// once by `Router::step_sa` and applied by reference after every
+    /// router has allocated (persistent scratch).
     moves: Vec<(usize, SwitchMove)>,
     /// Indices of parent routers (non-empty child list), ascending.
     parent_idxs: Vec<u32>,
@@ -833,9 +834,7 @@ impl Network {
                     blocked: fault_blocked.map_or(0, |b| b[idx]),
                 };
                 self.routers[idx].step_va(ws, &view, p);
-                for m in self.routers[idx].step_sa(ws, &view, p) {
-                    self.moves.push((idx, *m));
-                }
+                self.routers[idx].step_sa(ws, &view, p, &mut self.moves);
             }
         }
     }
@@ -860,9 +859,10 @@ impl Network {
         }
 
         let mut moves = std::mem::take(&mut self.moves);
-        for (idx, m) in moves.drain(..) {
-            self.apply_move(idx, m, now);
+        for (idx, m) in &moves {
+            self.apply_move(*idx, m, now);
         }
+        moves.clear();
         self.moves = moves;
     }
 
@@ -1131,7 +1131,7 @@ impl Network {
         }
     }
 
-    fn apply_move(&mut self, idx: usize, m: SwitchMove, now: Cycle) {
+    fn apply_move(&mut self, idx: usize, m: &SwitchMove, now: Cycle) {
         let coord = self.routers[idx].coord();
         let nflits = m.flits.len() as u8;
 
@@ -1715,6 +1715,68 @@ mod tests {
         let found = audit_now(&mut net);
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].contains("off the delivery list"), "{found:?}");
+    }
+
+    #[test]
+    fn config_validation_admits_exactly_what_the_allocator_represents() {
+        let mut cfg = SystemConfig::default();
+        cfg.noc.vcs_per_port = 64 / PORTS;
+        cfg.noc.tsb_width_factor = MAX_BURST;
+        assert!(cfg.validate().is_ok());
+        let net = Network::new(NetworkParams::resolve(&cfg, &NocEnv::default()));
+        assert_eq!(net.workspace().vcs(), 64 / PORTS);
+        cfg.noc.vcs_per_port += 1;
+        assert!(cfg.validate().is_err(), "one VC past the allocation mask");
+        cfg.noc.vcs_per_port = 3;
+        assert!(cfg.validate().is_ok(), "one VC per traffic class");
+        cfg.noc.tsb_width_factor = MAX_BURST + 1;
+        assert!(cfg.validate().is_err(), "a burst past MAX_BURST");
+    }
+
+    /// Injects one data reply and steps until `pick` accepts some
+    /// router; returns that router's index.
+    fn step_until_router(net: &mut Network, pick: impl Fn(&Network, usize) -> bool) -> usize {
+        let dst = cache(net, 25);
+        net.inject(Packet::new(PacketKind::DataReply, core(net, 7), dst, 0, 0));
+        for _ in 0..200 {
+            net.step();
+            if let Some(idx) = (0..net.routers.len()).find(|&i| pick(net, i)) {
+                return idx;
+            }
+        }
+        panic!("no router reached the wanted state");
+    }
+
+    #[test]
+    fn auditor_flags_a_stale_front_ready_cache() {
+        let mut p = params(RequestPathMode::RegionTsbs, ArbitrationPolicy::RoundRobin);
+        p.audit = Some(AuditConfig::default());
+        let mut net = Network::new(p);
+        let idx = step_until_router(&mut net, |net, i| net.ws.buffered(i) > 0);
+        assert_eq!(audit_now(&mut net), Vec::<String>::new());
+        let lane = (0..PORTS * net.ws.vcs())
+            .map(|flat| net.ws.router_base(idx) + flat)
+            .find(|&lane| net.ws.vc_len(lane) > 0)
+            .expect("a buffered lane");
+        let ready = net.ws.front_ready_at(lane);
+        net.ws.corrupt_front_ready(lane, ready + 1);
+        let found = audit_now(&mut net);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("front-ready cache"), "{found:?}");
+    }
+
+    #[test]
+    fn auditor_flags_an_sa_port_mask_off_its_sa_mask_words() {
+        let mut p = params(RequestPathMode::RegionTsbs, ArbitrationPolicy::RoundRobin);
+        p.audit = Some(AuditConfig::default());
+        let mut net = Network::new(p);
+        let idx = step_until_router(&mut net, |net, i| net.routers[i].sa_port_masks().0 != 0);
+        assert_eq!(audit_now(&mut net), Vec::<String>::new());
+        let (ports, _) = net.routers[idx].sa_port_masks();
+        net.routers[idx].corrupt_sa_ports(ports & (ports - 1));
+        let found = audit_now(&mut net);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("SA port mask"), "{found:?}");
     }
 
     #[test]

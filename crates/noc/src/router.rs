@@ -13,7 +13,8 @@
 //! store; the router itself keeps only its allocation bitmasks,
 //! round-robin pointers and statistics, and steps by sweeping its
 //! workspace lanes. Callers thread the workspace through every
-//! stepping call.
+//! stepping call, and switch allocation appends its grants straight
+//! to the caller's move list.
 //!
 //! Parent routers additionally implement the paper's STT-RAM-aware
 //! arbitration: a head flit whose destination bank is predicted busy is
@@ -201,15 +202,15 @@ pub struct Router {
     va_mask: u64,
     /// Per output port: flat bitmask of input VCs routed to it.
     sa_mask: [u64; PORTS],
+    /// Bitmask over output ports whose `sa_mask` word is non-zero: the
+    /// ports switch allocation visits.
+    sa_ports: u8,
     /// Child banks managed by this router (empty if not a parent).
     children: Vec<ChildInfo>,
     /// Direct-index lookup: raw bank id -> position in `children`
     /// (`u8::MAX` = not managed), so the hot-path child lookups are a
     /// single array access.
     child_lut: Box<[u8]>,
-    /// Persistent scratch for the switch-allocation grants of one
-    /// cycle (capacity [`PORTS`], never reallocated).
-    sa_moves: Vec<SwitchMove>,
     /// Predicted busy horizons for the children.
     pub busy: BusyTable,
     /// Per-child congestion estimates, refreshed each cycle by the
@@ -252,9 +253,9 @@ impl Router {
             sa_rr: [0; PORTS],
             va_mask: 0,
             sa_mask: [0; PORTS],
+            sa_ports: 0,
             children,
             child_lut,
-            sa_moves: Vec::with_capacity(PORTS),
             busy,
             child_cong,
             stats: RouterStats::default(),
@@ -304,17 +305,17 @@ impl Router {
 
     /// Returns the router to its just-constructed state with a (possibly
     /// new) child assignment: allocation masks and round-robin pointers
-    /// rewound, scratch and statistics cleared, busy table and
-    /// congestion estimates rebuilt, telemetry scratch dropped (the
-    /// network re-installs taps when telemetry is enabled). A reset
-    /// router is observably identical to a fresh [`Router::new`] with
-    /// the same geometry and children.
+    /// rewound, statistics cleared, busy table and congestion estimates
+    /// rebuilt, telemetry scratch dropped (the network re-installs taps
+    /// when telemetry is enabled). A reset router is observably
+    /// identical to a fresh [`Router::new`] with the same geometry and
+    /// children.
     pub fn reset(&mut self, children: Vec<ChildInfo>) {
         self.va_rr = [0; PORTS];
         self.sa_rr = [0; PORTS];
         self.va_mask = 0;
         self.sa_mask = [0; PORTS];
-        self.sa_moves.clear();
+        self.sa_ports = 0;
         self.stats = RouterStats::default();
         self.tap = None;
         self.set_children(children);
@@ -498,19 +499,21 @@ impl Router {
             let range = class.vc_range(self.vcs);
             let dp = dir.port();
             let obase = base + dp * self.vcs;
-            let rr = self.va_rr[dp] as usize;
-            let depth = self.depth;
+            // Unowned output VCs of the class with full credits, and
+            // with any credit.
+            let (mut full, mut credited) = (0u64, 0u64);
+            for v in range {
+                if ws.owner_is_none(obase + v) {
+                    let c = ws.credit(obase + v);
+                    full |= u64::from(c == self.depth) << v;
+                    credited |= u64::from(c > 0) << v;
+                }
+            }
             // Prefer an output VC whose downstream buffer is empty
             // (full credits): packets then spread across VCs
             // instead of stacking behind a possibly-held head.
-            let pick = rr_pick(rr, self.vcs, |v| {
-                range.contains(&v) && ws.owner_is_none(obase + v) && ws.credit(obase + v) == depth
-            })
-            .or_else(|| {
-                rr_pick(rr, self.vcs, |v| {
-                    range.contains(&v) && ws.owner_is_none(obase + v) && ws.credit(obase + v) > 0
-                })
-            });
+            let rr = self.va_rr[dp] as usize;
+            let pick = rr_pick(full, rr).or_else(|| rr_pick(credited, rr));
             if let Some(out_vc) = pick {
                 let (port, vc) = (flat / self.vcs, flat % self.vcs);
                 self.va_rr[dp] = out_vc as u8;
@@ -528,13 +531,14 @@ impl Router {
                 ws.set_route(lane, dp, out_vc);
                 self.va_mask &= !(1 << flat);
                 self.sa_mask[dp] |= 1 << flat;
+                self.sa_ports |= 1 << dp;
             }
         }
     }
 
-    /// `true` when the input VC at `base + flat` may compete for the
-    /// output port `op` this cycle: allocated to it, presenting a
-    /// pipeline-ready front flit, with a downstream credit available.
+    /// `true` when the input VC at `base + flat`, routed to output port
+    /// `op`, may compete for it this cycle: presenting a pipeline-ready
+    /// front flit, with a downstream credit available.
     #[inline]
     fn sa_candidate(
         &self,
@@ -545,70 +549,63 @@ impl Router {
         now: Cycle,
     ) -> bool {
         let lane = base + flat;
+        if ws.vc_len(lane) == 0 || ws.front_ready_at(lane) > now {
+            return false;
+        }
         let Some((dp, out_vc)) = ws.route_parts(lane) else {
             return false;
         };
-        if dp != op || ws.vc_len(lane) == 0 {
-            return false;
-        }
-        ws.front_ready_at(lane) <= now && ws.credit(base + op * self.vcs + out_vc) > 0
+        debug_assert_eq!(dp, op, "sa_mask[{op}] holds a VC routed to {dp}");
+        ws.credit(base + op * self.vcs + out_vc) > 0
     }
 
     /// Switch allocation: one grant per output port, at most one grant
     /// per input port, prioritized when the bank-aware policy is on.
     ///
-    /// Returns the granted moves (backed by a persistent per-router
-    /// buffer, valid until the next call); flits are already popped and
-    /// credits decremented.
+    /// Appends each grant to `moves` as `(router index, move)`, in
+    /// output-port order; flits are already popped and credits
+    /// decremented.
     pub fn step_sa(
         &mut self,
         ws: &mut NocWorkspace,
         view: &impl NetView,
         p: StepParams,
-    ) -> &[SwitchMove] {
-        self.sa_moves.clear();
-        let mut input_port_used = [false; PORTS];
+        moves: &mut Vec<(usize, SwitchMove)>,
+    ) {
         let base = ws.router_base(self.idx);
-
-        for out_dir in Direction::ALL {
-            let op = out_dir.port();
-            if p.blocked & (1 << op) != 0 {
-                continue; // faulted port: flits wait as backpressure
-            }
-            let candidates = self.sa_mask[op];
-            if candidates == 0 {
-                continue;
-            }
-            let rr = self.sa_rr[op];
-            // Rotating priority over the candidate bits: bits above the
-            // last winner first, then the wrap-around.
-            let above = candidates & (u64::MAX << 1).wrapping_shl(rr as u32);
-            let below = candidates & !above;
+        // The flat (port, vc) bits of input ports already granted.
+        let port_bits = (1u64 << self.vcs) - 1;
+        let mut used_inputs = 0u64;
+        // `Direction::ALL` is port-index order, so ascending bits visit
+        // the output ports in the same order.
+        let mut ports = self.sa_ports & !p.blocked; // faulted ports wait
+        while ports != 0 {
+            let op = ports.trailing_zeros() as usize;
+            ports &= ports - 1;
+            let rr = self.sa_rr[op] as usize;
+            // Rotating priority over the candidate bits: bits above
+            // the last winner first, then the wrap-around.
+            let mut bits = self.sa_mask[op] & !used_inputs;
             let mut winner = None;
             let mut best_rank = 0u8;
             let mut fallback = None;
-            'outer: for group in [above, below] {
-                let mut bits = group;
-                while bits != 0 {
-                    let i = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let port = i / self.vcs;
-                    if input_port_used[port] || !self.sa_candidate(ws, base, i, op, p.now) {
-                        continue;
-                    }
-                    if !p.policy.is_bank_aware() {
-                        winner = Some(i);
-                        break 'outer;
-                    }
-                    let rank = self.sa_priority(ws, base + i, view, p.now);
-                    if rank == 2 {
-                        winner = Some(i);
-                        break 'outer;
-                    }
-                    if fallback.is_none() || rank > best_rank {
-                        fallback = Some(i);
-                        best_rank = rank;
-                    }
+            while let Some(i) = rr_pick(bits, rr) {
+                bits &= !(1 << i);
+                if !self.sa_candidate(ws, base, i, op, p.now) {
+                    continue;
+                }
+                if !p.policy.is_bank_aware() {
+                    winner = Some(i);
+                    break;
+                }
+                let rank = self.sa_priority(ws, base + i, view, p.now);
+                if rank == 2 {
+                    winner = Some(i);
+                    break;
+                }
+                if fallback.is_none() || rank > best_rank {
+                    fallback = Some(i);
+                    best_rank = rank;
                 }
             }
             let Some(winner) = winner.or(fallback) else {
@@ -616,11 +613,9 @@ impl Router {
             };
             self.sa_rr[op] = winner as u8;
             let (port, vc) = (winner / self.vcs, winner % self.vcs);
-            input_port_used[port] = true;
-            let mv = self.grant(ws, port, vc, p);
-            self.sa_moves.push(mv);
+            used_inputs |= port_bits << (port * self.vcs);
+            self.grant(ws, port, vc, p, moves);
         }
-        &self.sa_moves
     }
 
     /// Three-level SA priority (the re-ordering of Figure 2(c)):
@@ -644,14 +639,15 @@ impl Router {
     }
 
     /// Pops the granted flit(s), consuming credits and releasing the
-    /// output VC on the tail flit.
+    /// output VC on the tail flit, and appends the move to `moves`.
     fn grant(
         &mut self,
         ws: &mut NocWorkspace,
         port: usize,
         vc: usize,
         p: StepParams,
-    ) -> SwitchMove {
+        moves: &mut Vec<(usize, SwitchMove)>,
+    ) {
         let base = ws.router_base(self.idx);
         let lane = base + port * self.vcs + vc;
         let (dp, out_vc) = ws.route_parts(lane).expect("granted VC has a route");
@@ -665,30 +661,33 @@ impl Router {
             1
         };
         debug_assert!(burst <= MAX_BURST);
-        let mut flits: Option<FlitBurst> = None;
-        let mut tail_sent = false;
-        for _ in 0..burst {
-            if tail_sent || ws.credit(olane) == 0 || ws.vc_len(lane) == 0 {
-                break;
-            }
-            if ws.front_ready_at(lane) > p.now {
+        // SA candidacy guarantees a ready front flit with credit.
+        debug_assert!(ws.vc_len(lane) > 0 && ws.front_ready_at(lane) <= p.now);
+        let first = ws.pop_front(self.idx, lane);
+        ws.spend_credit(olane);
+        let mut flits = FlitBurst::one(first);
+        let mut tail_sent = first.tail;
+        for _ in 1..burst {
+            if tail_sent
+                || ws.credit(olane) == 0
+                || ws.vc_len(lane) == 0
+                || ws.front_ready_at(lane) > p.now
+            {
                 break;
             }
             let flit = ws.pop_front(self.idx, lane);
             ws.spend_credit(olane);
-            self.stats.switch_traversals += 1;
             tail_sent = flit.tail;
-            match &mut flits {
-                None => flits = Some(FlitBurst::one(flit)),
-                Some(b) => b.push(flit),
-            }
+            flits.push(flit);
         }
-        // SA candidacy guarantees a ready front flit with credit.
-        let flits = flits.expect("granted VC moves at least one flit");
+        self.stats.switch_traversals += flits.len() as u64;
         if tail_sent {
             ws.clear_owner(olane);
             let flat = port * self.vcs + vc;
             self.sa_mask[dp] &= !(1 << flat);
+            if self.sa_mask[dp] == 0 {
+                self.sa_ports &= !(1 << dp);
+            }
             ws.clear_route(lane);
             ws.take_held(lane);
             ws.set_policy_held(lane, false);
@@ -696,13 +695,31 @@ impl Router {
                 self.va_mask |= 1 << flat;
             }
         }
-        SwitchMove {
-            in_port: port,
-            in_vc: vc,
-            out_dir,
-            out_vc,
-            flits,
-        }
+        moves.push((
+            self.idx,
+            SwitchMove {
+                in_port: port,
+                in_vc: vc,
+                out_dir,
+                out_vc,
+                flits,
+            },
+        ));
+    }
+
+    /// The cached SA port mask and the one the `sa_mask` words imply;
+    /// equal at every cycle boundary (audit instrumentation).
+    pub(crate) fn sa_port_masks(&self) -> (u8, u8) {
+        let derived = (0..PORTS)
+            .filter(|&op| self.sa_mask[op] != 0)
+            .fold(0u8, |m, op| m | 1 << op);
+        (self.sa_ports, derived)
+    }
+
+    /// Overwrites the cached SA port mask (auditor tests only).
+    #[cfg(test)]
+    pub(crate) fn corrupt_sa_ports(&mut self, ports: u8) {
+        self.sa_ports = ports;
     }
 
     /// Called by the network when this (parent) router forwards the
@@ -820,6 +837,20 @@ mod tests {
         }
     }
 
+    /// One switch-allocation pass through the router's single entry
+    /// point; the moves it granted.
+    fn sa(
+        r: &mut Router,
+        ws: &mut NocWorkspace,
+        view: &TestView,
+        p: StepParams,
+    ) -> Vec<SwitchMove> {
+        let mut moves = Vec::new();
+        r.step_sa(ws, view, p, &mut moves);
+        assert!(moves.iter().all(|&(idx, _)| idx == r.idx()));
+        moves.into_iter().map(|(_, m)| m).collect()
+    }
+
     const AWARE: ArbitrationPolicy = ArbitrationPolicy::BankAware {
         estimator: Estimator::Simple,
     };
@@ -863,7 +894,7 @@ mod tests {
         let p = params(10, ArbitrationPolicy::RoundRobin);
         r.step_va(&mut ws, &view, p);
         assert!(r.input_vc(&ws, 0, 0).route().is_some());
-        let moves = r.step_sa(&mut ws, &view, p);
+        let moves = sa(&mut r, &mut ws, &view, p);
         assert_eq!(moves.len(), 1);
         let mv = moves[0];
         assert_eq!(mv.out_dir, Direction::South);
@@ -925,9 +956,9 @@ mod tests {
         r.step_va(&mut ws, &view, p);
         let vc = r.input_vc(&ws, 0, 0).route().unwrap().vc;
         let had = r.drain_credits(&mut ws, Direction::South, vc);
-        assert!(r.step_sa(&mut ws, &view, p).is_empty());
+        assert!(sa(&mut r, &mut ws, &view, p).is_empty());
         r.return_credit(&mut ws, Direction::South, vc, had);
-        assert_eq!(r.step_sa(&mut ws, &view, p).len(), 1);
+        assert_eq!(sa(&mut r, &mut ws, &view, p).len(), 1);
     }
 
     #[test]
@@ -1010,7 +1041,7 @@ mod tests {
         r.step_va(&mut ws, &view, params(5, AWARE));
         // The child becomes busy after VA (prediction arrived late).
         r.busy.on_forward(BankId::new(11), 5, 9, 33);
-        let moves = r.step_sa(&mut ws, &view, params(6, AWARE));
+        let moves = sa(&mut r, &mut ws, &view, params(6, AWARE));
         assert_eq!(moves.len(), 1, "one output port contested");
         assert_eq!(moves[0].flits[0].packet, PacketId::new(1), "response wins");
     }
@@ -1092,10 +1123,10 @@ mod tests {
         p.wide_down = true;
         p.tsb_extra = 1;
         r.step_va(&mut ws, &view, p);
-        let moves = r.step_sa(&mut ws, &view, p);
+        let moves = sa(&mut r, &mut ws, &view, p);
         assert_eq!(moves.len(), 1);
         assert_eq!(moves[0].flits.len(), 2, "256b TSB carries two 128b flits");
-        let moves = r.step_sa(&mut ws, &view, p);
+        let moves = sa(&mut r, &mut ws, &view, p);
         assert_eq!(moves[0].flits.len(), 1, "tail flit alone");
         assert!(moves[0].flits[0].tail);
     }
@@ -1111,7 +1142,7 @@ mod tests {
         p.wide_down = true; // wide TSB applies to Down only
         p.tsb_extra = 1;
         r.step_va(&mut ws, &view, p);
-        let moves = r.step_sa(&mut ws, &view, p);
+        let moves = sa(&mut r, &mut ws, &view, p);
         assert_eq!(moves[0].flits.len(), 1);
     }
 
@@ -1126,9 +1157,9 @@ mod tests {
         put_single(&mut r, &mut ws, 0, 1, 1);
         let p = params(10, ArbitrationPolicy::RoundRobin);
         r.step_va(&mut ws, &view, p);
-        let moves = r.step_sa(&mut ws, &view, p);
+        let moves = sa(&mut r, &mut ws, &view, p);
         assert_eq!(moves.len(), 1, "crossbar admits one flit per input port");
-        let moves = r.step_sa(&mut ws, &view, p);
+        let moves = sa(&mut r, &mut ws, &view, p);
         assert_eq!(moves.len(), 1, "the other VC wins next cycle");
     }
 
@@ -1144,7 +1175,7 @@ mod tests {
         r.step_va(&mut ws, &view, p);
         let out_vc = r.input_vc(&ws, 0, 0).route().unwrap().vc;
         assert!(ws.port(0, Direction::South.port()).owner(out_vc).is_some());
-        r.step_sa(&mut ws, &view, p);
+        sa(&mut r, &mut ws, &view, p);
         assert!(ws.port(0, Direction::South.port()).owner(out_vc).is_none());
         assert!(r.input_vc(&ws, 0, 0).route().is_none());
     }
@@ -1170,7 +1201,7 @@ mod tests {
         put_single(&mut r, &mut ws, 1, 1, 1); // read
         r.step_va(&mut ws, &view, params(5, AWARE));
         r.busy.on_forward(BankId::new(11), 5, 9, 33);
-        let moves = r.step_sa(&mut ws, &view, params(6, AWARE));
+        let moves = sa(&mut r, &mut ws, &view, params(6, AWARE));
         assert_eq!(moves.len(), 1);
         assert_eq!(moves[0].flits[0].packet, PacketId::new(1), "read wins");
     }
@@ -1252,13 +1283,13 @@ mod tests {
         assert!(r.input_vc(&ws, 0, 0).route().is_some(), "VA is unaffected");
         p.blocked = 1 << Direction::South.port();
         assert!(
-            r.step_sa(&mut ws, &view, p).is_empty(),
+            sa(&mut r, &mut ws, &view, p).is_empty(),
             "blocked port grants nothing"
         );
         assert_eq!(r.buffered_flits(&ws), 1);
         assert_eq!(r.credits(&ws, Direction::South, 0), 5, "no credit consumed");
         p.blocked = 0;
-        let moves = r.step_sa(&mut ws, &view, p);
+        let moves = sa(&mut r, &mut ws, &view, p);
         assert_eq!(moves.len(), 1);
         assert_eq!(moves[0].out_dir, Direction::South);
     }
@@ -1275,7 +1306,7 @@ mod tests {
         let mut p = params(10, ArbitrationPolicy::RoundRobin);
         r.step_va(&mut ws, &view, p);
         p.blocked = 1 << Direction::South.port();
-        let moves = r.step_sa(&mut ws, &view, p);
+        let moves = sa(&mut r, &mut ws, &view, p);
         assert_eq!(moves.len(), 1, "the healthy port still grants");
         assert_eq!(moves[0].out_dir, Direction::North);
     }

@@ -7,8 +7,10 @@
 //! network, indexed by the flat [`VcKey`] scheme
 //! (`router * PORTS * vcs + port * vcs + vc`):
 //!
-//! - **Input-VC lanes** (`head`/`len`/`route`/`held`/`policy_held`)
-//!   describe the buffer ring and allocation state of each input VC.
+//! - **Input-VC lanes** (`head`/`len`/`front_ready`/`route`/`held`/
+//!   `policy_held`) describe the buffer ring and allocation state of
+//!   each input VC. `front_ready` caches the front flit's pipeline-ready
+//!   cycle, so allocation tests readiness without touching the ring.
 //! - **Flit lanes** (`f_packet`/`f_seq`/`f_flags`/`f_ready`) hold the
 //!   buffered flits themselves, `depth` ring slots per lane, split by
 //!   field so the hot sweeps touch only the bytes they need.
@@ -55,6 +57,11 @@ pub struct NocWorkspace {
     head: Box<[u8]>,
     /// Buffered flit count of each input VC, `0..=depth`.
     len: Box<[u8]>,
+    /// Pipeline-ready cycle of each non-empty input VC's front flit: a
+    /// copy of its `f_ready` slot. Meaningless while `len == 0`, so it
+    /// needs no sentinel and no reset; `push_back` on an empty lane and
+    /// `pop_front` keep it equal to the ring front.
+    front_ready: Box<[u64]>,
     /// Allocated output per input VC: `(out_port << 8) | out_vc`, or
     /// [`NO_ROUTE`].
     route: Box<[u16]>,
@@ -98,6 +105,7 @@ impl NocWorkspace {
             capacity: PORTS * vcs * depth,
             head: vec![0; lanes].into_boxed_slice(),
             len: vec![0; lanes].into_boxed_slice(),
+            front_ready: vec![0; lanes].into_boxed_slice(),
             route: vec![NO_ROUTE; lanes].into_boxed_slice(),
             held: vec![NO_HOLD; lanes].into_boxed_slice(),
             policy_held: vec![0; lanes].into_boxed_slice(),
@@ -113,11 +121,11 @@ impl NocWorkspace {
 
     /// Returns every lane to its just-constructed state without
     /// touching the allocations: empty rings, no routes or owners,
-    /// full credits, zero occupancy. The flit slots themselves are
-    /// left as-is — `len == 0` makes them unreadable, and every write
-    /// path stores before the matching read — so a reset store is
-    /// observably identical to a fresh [`NocWorkspace::new`] with the
-    /// same geometry.
+    /// full credits, zero occupancy. The flit slots and the front-ready
+    /// cache are left as-is — `len == 0` makes them unreadable, and
+    /// every write path stores before the matching read — so a reset
+    /// store is observably identical to a fresh [`NocWorkspace::new`]
+    /// with the same geometry.
     pub fn reset(&mut self) {
         self.head.fill(0);
         self.len.fill(0);
@@ -206,10 +214,26 @@ impl NocWorkspace {
         PacketId::new(self.f_packet[self.ring_slot(lane, 0)])
     }
 
-    /// Pipeline-ready cycle of the front flit (lane must be non-empty).
+    /// Pipeline-ready cycle of the front flit (lane must be non-empty),
+    /// read from the lane-indexed cache rather than the flit ring.
     #[inline]
     pub(crate) fn front_ready_at(&self, lane: usize) -> Cycle {
-        self.f_ready[self.ring_slot(lane, 0)]
+        debug_assert!(self.len[lane] > 0, "front of an empty input VC");
+        self.front_ready[lane]
+    }
+
+    /// `true` while the front-ready cache of a non-empty lane equals
+    /// its ring front's `ready_at` (the invariant `push_back` and
+    /// `pop_front` maintain; checked by debug builds and the auditor).
+    #[inline]
+    pub(crate) fn front_ready_is_exact(&self, lane: usize) -> bool {
+        self.len[lane] == 0 || self.front_ready[lane] == self.f_ready[self.ring_slot(lane, 0)]
+    }
+
+    /// Overwrites a lane's front-ready cache (auditor tests only).
+    #[cfg(test)]
+    pub(crate) fn corrupt_front_ready(&mut self, lane: usize, cycle: Cycle) {
+        self.front_ready[lane] = cycle;
     }
 
     /// `true` when the front flit is a header (lane must be non-empty).
@@ -233,8 +257,12 @@ impl NocWorkspace {
         self.f_seq[slot] = flit.seq;
         self.f_flags[slot] = (flit.head as u8 * FLAG_HEAD) | (flit.tail as u8 * FLAG_TAIL);
         self.f_ready[slot] = flit.ready_at;
+        if len == 0 {
+            self.front_ready[lane] = flit.ready_at;
+        }
         self.len[lane] = (len + 1) as u8;
         self.buffered[router] += 1;
+        debug_assert!(self.front_ready_is_exact(lane), "front-ready cache drifted");
         len == 0
     }
 
@@ -251,7 +279,11 @@ impl NocWorkspace {
         }
         self.head[lane] = h as u8;
         self.len[lane] = len - 1;
+        if len > 1 {
+            self.front_ready[lane] = self.f_ready[lane * self.depth + h];
+        }
         self.buffered[router] -= 1;
+        debug_assert!(self.front_ready_is_exact(lane), "front-ready cache drifted");
         flit
     }
 
@@ -552,6 +584,28 @@ mod tests {
         }
         assert_eq!(ws.vc_len(lane), 0);
         assert_eq!(ws.buffered(0), 0);
+    }
+
+    #[test]
+    fn front_ready_follows_the_ring_front_across_wraps() {
+        let mut ws = NocWorkspace::new(1, 6, 5);
+        let lane = ws.lane(0, 1, 4);
+        let mut queued = std::collections::VecDeque::new();
+        let mut next = 100;
+        // Keep 1..=4 flits buffered while the ring head laps the depth.
+        for step in 0..40 {
+            if queued.len() < 4 && (queued.is_empty() || step % 3 != 0) {
+                ws.push_back(0, lane, flit(0, 0, false, false, next));
+                queued.push_back(next);
+                next += 7;
+            } else {
+                assert_eq!(ws.pop_front(0, lane).ready_at, queued.pop_front().unwrap());
+            }
+            if let Some(&front) = queued.front() {
+                assert_eq!(ws.front_ready_at(lane), front, "step {step}");
+                assert!(ws.front_ready_is_exact(lane));
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! are driven in lockstep by the same randomized multi-flit traffic
 //! and credit-return schedule for thousands of cycles; every switch
 //! move and every piece of observable state (buffer contents, routes,
-//! owners, credits) must agree, cycle by cycle.
+//! owners, credits) must agree, cycle by cycle. The allocator's port
+//! bits and rotations depend on the VC count, so the lockstep runs at
+//! every geometry in [`VC_GEOMETRIES`].
 
 use snoc_common::config::{ArbitrationPolicy, Estimator, NocConfig, RequestPathMode, TsbPlacement};
 use snoc_common::geom::{Coord, Direction, Layer};
@@ -23,7 +25,9 @@ use snoc_noc::router::{NetView, OutRoute, Router, StepParams, PORTS};
 use snoc_noc::workspace::NocWorkspace;
 use std::collections::VecDeque;
 
-const VCS: usize = 6;
+/// VCs per port under test: every count the ablation sweep uses, 4 to
+/// 8, among them 7, the "+1 VC" scenario's.
+const VC_GEOMETRIES: [usize; 5] = [4, 5, 6, 7, 8];
 const DEPTH: usize = 5;
 const STAGES: Cycle = 2;
 
@@ -95,6 +99,7 @@ fn rotate_pick(last: usize, n: usize, mut eligible: impl FnMut(usize) -> bool) -
 /// each output port grants one routed, ready, credited input VC per
 /// cycle in rotating priority, at most one grant per input port.
 struct RefRouter {
+    vcs: usize,
     inputs: Vec<VecDeque<Flit>>,
     route: Vec<Option<(usize, usize)>>,
     credits: Vec<u8>,
@@ -104,19 +109,21 @@ struct RefRouter {
 }
 
 impl RefRouter {
-    fn new() -> Self {
+    fn new(vcs: usize) -> Self {
         Self {
-            inputs: (0..PORTS * VCS).map(|_| VecDeque::new()).collect(),
-            route: vec![None; PORTS * VCS],
-            credits: vec![DEPTH as u8; PORTS * VCS],
-            owner: vec![None; PORTS * VCS],
+            vcs,
+            inputs: (0..PORTS * vcs).map(|_| VecDeque::new()).collect(),
+            route: vec![None; PORTS * vcs],
+            credits: vec![DEPTH as u8; PORTS * vcs],
+            owner: vec![None; PORTS * vcs],
             va_rr: [0; PORTS],
             sa_rr: [0; PORTS],
         }
     }
 
     fn step_va(&mut self, view: &TestView, now: Cycle) {
-        for flat in 0..PORTS * VCS {
+        let vcs = self.vcs;
+        for flat in 0..PORTS * vcs {
             let Some(front) = self.inputs[flat].front() else {
                 continue;
             };
@@ -125,42 +132,43 @@ impl RefRouter {
             }
             let packet = view.packet(front.packet);
             let dp = view.route(at(), packet).port();
-            let range = packet.kind.class().vc_range(VCS);
+            let range = packet.kind.class().vc_range(vcs);
             let free = |v: usize| {
                 range.contains(&v)
-                    && self.owner[dp * VCS + v].is_none()
-                    && self.credits[dp * VCS + v] > 0
+                    && self.owner[dp * vcs + v].is_none()
+                    && self.credits[dp * vcs + v] > 0
             };
-            let pick = rotate_pick(self.va_rr[dp], VCS, |v| {
-                free(v) && self.credits[dp * VCS + v] == DEPTH as u8
+            let pick = rotate_pick(self.va_rr[dp], vcs, |v| {
+                free(v) && self.credits[dp * vcs + v] == DEPTH as u8
             })
-            .or_else(|| rotate_pick(self.va_rr[dp], VCS, free));
+            .or_else(|| rotate_pick(self.va_rr[dp], vcs, free));
             if let Some(v) = pick {
                 self.va_rr[dp] = v;
-                self.owner[dp * VCS + v] = Some((flat / VCS, flat % VCS));
+                self.owner[dp * vcs + v] = Some((flat / vcs, flat % vcs));
                 self.route[flat] = Some((dp, v));
             }
         }
     }
 
     fn step_sa(&mut self, now: Cycle) -> Vec<RefMove> {
+        let vcs = self.vcs;
         let mut moves = Vec::new();
         let mut used = [false; PORTS];
         for out_dir in Direction::ALL {
             let op = out_dir.port();
-            let n = PORTS * VCS;
+            let n = PORTS * vcs;
             let rr = self.sa_rr[op];
             // Rotating priority: indices above the last winner first.
             let order = (rr + 1..n).chain(0..=rr);
             let mut winner = None;
             for i in order {
-                if used[i / VCS] {
+                if used[i / vcs] {
                     continue;
                 }
                 let Some((dp, ov)) = self.route[i] else {
                     continue;
                 };
-                if dp != op || self.credits[op * VCS + ov] == 0 {
+                if dp != op || self.credits[op * vcs + ov] == 0 {
                     continue;
                 }
                 match self.inputs[i].front() {
@@ -172,16 +180,16 @@ impl RefRouter {
             }
             let Some((i, ov)) = winner else { continue };
             self.sa_rr[op] = i;
-            used[i / VCS] = true;
+            used[i / vcs] = true;
             let flit = self.inputs[i].pop_front().expect("winner has a flit");
-            self.credits[op * VCS + ov] -= 1;
+            self.credits[op * vcs + ov] -= 1;
             if flit.tail {
-                self.owner[op * VCS + ov] = None;
+                self.owner[op * vcs + ov] = None;
                 self.route[i] = None;
             }
             moves.push(RefMove {
-                in_port: i / VCS,
-                in_vc: i % VCS,
+                in_port: i / vcs,
+                in_vc: i % vcs,
                 out_dir,
                 out_vc: ov,
                 flits: vec![(flit.packet, flit.seq, flit.head, flit.tail)],
@@ -222,12 +230,17 @@ fn random_packet(view: &mut TestView, rng: &mut SimRng) -> (PacketId, usize) {
 }
 
 fn assert_same_state(ws: &NocWorkspace, r: &Router, rf: &RefRouter, cycle: Cycle) {
+    let vcs = rf.vcs;
     for port in 0..PORTS {
-        for vc in 0..VCS {
-            let flat = port * VCS + vc;
+        for vc in 0..vcs {
+            let flat = port * vcs + vc;
             let real = r.input_vc(ws, port, vc);
             let q = &rf.inputs[flat];
-            assert_eq!(real.len(), q.len(), "cycle {cycle}: len at {port}/{vc}");
+            assert_eq!(
+                real.len(),
+                q.len(),
+                "{vcs} VCs, cycle {cycle}: len at {port}/{vc}"
+            );
             for (k, want) in q.iter().enumerate() {
                 let got = real.flit(k);
                 assert_eq!(
@@ -262,16 +275,25 @@ fn assert_same_state(ws: &NocWorkspace, r: &Router, rf: &RefRouter, cycle: Cycle
 
 #[test]
 fn workspace_router_matches_the_naive_reference_over_mixed_traffic() {
-    let mut ws = NocWorkspace::new(1, VCS, DEPTH);
-    let mut r = Router::new(0, at(), VCS, DEPTH, vec![]);
-    let mut rf = RefRouter::new();
+    for vcs in VC_GEOMETRIES {
+        lockstep_against_the_reference(vcs);
+    }
+}
+
+/// Drives the workspace router and the reference at `vcs` VCs per
+/// port in lockstep over randomized traffic.
+fn lockstep_against_the_reference(vcs: usize) {
+    let mut ws = NocWorkspace::new(1, vcs, DEPTH);
+    let mut r = Router::new(0, at(), vcs, DEPTH, vec![]);
+    let mut rf = RefRouter::new(vcs);
     let mut view = TestView::new();
-    let mut rng = SimRng::for_stream(0xD1FF, 0);
+    let mut rng = SimRng::for_stream(0xD1FF, vcs as u64);
+    let mut granted = Vec::new();
 
     // Per input VC: the packet currently being injected and the
     // upstream link credits gating it.
-    let mut streams: Vec<Option<Stream>> = (0..PORTS * VCS).map(|_| None).collect();
-    let mut upstream: Vec<u8> = vec![DEPTH as u8; PORTS * VCS];
+    let mut streams: Vec<Option<Stream>> = (0..PORTS * vcs).map(|_| None).collect();
+    let mut upstream: Vec<u8> = vec![DEPTH as u8; PORTS * vcs];
     // Scheduled downstream credit returns: (due, out port, out vc).
     let mut returns: Vec<(Cycle, usize, usize)> = Vec::new();
     let mut total_moves = 0usize;
@@ -282,7 +304,7 @@ fn workspace_router_matches_the_naive_reference_over_mixed_traffic() {
         for &(due, dp, ov) in &returns {
             if due == cycle {
                 r.return_credit(&mut ws, Direction::ALL[dp], ov, 1);
-                rf.credits[dp * VCS + ov] += 1;
+                rf.credits[dp * vcs + ov] += 1;
             }
         }
         returns.retain(|&(due, _, _)| due != cycle);
@@ -294,10 +316,10 @@ fn workspace_router_matches_the_naive_reference_over_mixed_traffic() {
             let class = view.packet(id).kind.class();
             let port = rng.below(PORTS);
             let lane = class
-                .vc_range(VCS)
-                .find(|&v| streams[port * VCS + v].is_none());
+                .vc_range(vcs)
+                .find(|&v| streams[port * vcs + v].is_none());
             if let Some(vc) = lane {
-                streams[port * VCS + vc] = Some(Stream {
+                streams[port * vcs + vc] = Some(Stream {
                     flits: Flit::sequence(id, nflits).collect(),
                 });
             }
@@ -305,7 +327,7 @@ fn workspace_router_matches_the_naive_reference_over_mixed_traffic() {
 
         // One flit per lane per cycle, gated by upstream credits —
         // identical arrivals into both routers.
-        for flat in 0..PORTS * VCS {
+        for flat in 0..PORTS * vcs {
             let Some(stream) = &mut streams[flat] else {
                 continue;
             };
@@ -315,7 +337,7 @@ fn workspace_router_matches_the_naive_reference_over_mixed_traffic() {
             let mut flit = stream.flits.pop_front().expect("streams are non-empty");
             flit.ready_at = cycle + STAGES;
             upstream[flat] -= 1;
-            r.accept(&mut ws, flat / VCS, flat % VCS, flit);
+            r.accept(&mut ws, flat / vcs, flat % vcs, flit);
             rf.inputs[flat].push_back(flit);
             if stream.flits.is_empty() {
                 streams[flat] = None;
@@ -325,10 +347,11 @@ fn workspace_router_matches_the_naive_reference_over_mixed_traffic() {
         // Both routers step VA then SA within the cycle.
         let p = params(cycle, ArbitrationPolicy::RoundRobin);
         r.step_va(&mut ws, &view, p);
-        let moves: Vec<RefMove> = r
-            .step_sa(&mut ws, &view, p)
+        granted.clear();
+        r.step_sa(&mut ws, &view, p, &mut granted);
+        let moves: Vec<RefMove> = granted
             .iter()
-            .map(|m| RefMove {
+            .map(|(_, m)| RefMove {
                 in_port: m.in_port,
                 in_vc: m.in_vc,
                 out_dir: m.out_dir,
@@ -342,11 +365,14 @@ fn workspace_router_matches_the_naive_reference_over_mixed_traffic() {
             .collect();
         rf.step_va(&view, cycle);
         let want = rf.step_sa(cycle);
-        assert_eq!(moves, want, "cycle {cycle}: switch moves diverged");
+        assert_eq!(
+            moves, want,
+            "{vcs} VCs, cycle {cycle}: switch moves diverged"
+        );
         total_moves += moves.len();
 
         for m in &moves {
-            upstream[m.in_port * VCS + m.in_vc] += m.flits.len() as u8;
+            upstream[m.in_port * vcs + m.in_vc] += m.flits.len() as u8;
             let delay = 1 + rng.below(6) as u64;
             for _ in 0..m.flits.len() {
                 returns.push((cycle + delay, m.out_dir.port(), m.out_vc));
@@ -358,7 +384,10 @@ fn workspace_router_matches_the_naive_reference_over_mixed_traffic() {
         }
     }
 
-    assert!(total_moves > 2_000, "traffic too thin: {total_moves} moves");
+    assert!(
+        total_moves > 2_000,
+        "{vcs} VCs: traffic too thin: {total_moves} moves"
+    );
     assert_eq!(ws.buffered(0), 0, "run must drain");
     assert!(rf.inputs.iter().all(VecDeque::is_empty));
 }
@@ -369,6 +398,15 @@ fn workspace_router_matches_the_naive_reference_over_mixed_traffic() {
 /// VC and credits must stay within `0..=depth`.
 #[test]
 fn allocation_sweep_never_double_grants_and_credits_stay_bounded() {
+    for vcs in VC_GEOMETRIES {
+        bank_aware_sweep_properties(vcs);
+    }
+}
+
+/// Drives a bank-aware parent router at `vcs` VCs per port over
+/// randomized traffic and busy-table churn, checking the allocation
+/// properties every cycle.
+fn bank_aware_sweep_properties(vcs: usize) {
     let children = vec![
         ChildInfo {
             bank: BankId::new(9),
@@ -383,27 +421,28 @@ fn allocation_sweep_never_double_grants_and_credits_stay_bounded() {
             hops: 1,
         },
     ];
-    let mut ws = NocWorkspace::new(1, VCS, DEPTH);
-    let mut r = Router::new(0, at(), VCS, DEPTH, children);
+    let mut ws = NocWorkspace::new(1, vcs, DEPTH);
+    let mut r = Router::new(0, at(), vcs, DEPTH, children);
     let mut view = TestView::new();
-    let mut rng = SimRng::for_stream(0xBA2C, 1);
+    let mut rng = SimRng::for_stream(0xBA2C, vcs as u64);
     let policy = ArbitrationPolicy::BankAware {
         estimator: Estimator::WindowBased,
     };
 
-    let mut streams: Vec<Option<Stream>> = (0..PORTS * VCS).map(|_| None).collect();
-    let mut upstream: Vec<u8> = vec![DEPTH as u8; PORTS * VCS];
+    let mut streams: Vec<Option<Stream>> = (0..PORTS * vcs).map(|_| None).collect();
+    let mut upstream: Vec<u8> = vec![DEPTH as u8; PORTS * vcs];
     let mut returns: Vec<(Cycle, usize, usize)> = Vec::new();
     // Per output lane: credits spent and not yet returned.
-    let mut outstanding = [0u8; PORTS * VCS];
+    let mut outstanding = vec![0u8; PORTS * vcs];
     let mut total_moves = 0usize;
+    let mut granted = Vec::new();
 
     let horizon = 3_000;
     for cycle in 0..horizon + 500 {
         for &(due, dp, ov) in &returns {
             if due == cycle {
                 r.return_credit(&mut ws, Direction::ALL[dp], ov, 1);
-                outstanding[dp * VCS + ov] -= 1;
+                outstanding[dp * vcs + ov] -= 1;
             }
         }
         returns.retain(|&(due, _, _)| due != cycle);
@@ -424,10 +463,10 @@ fn allocation_sweep_never_double_grants_and_credits_stay_bounded() {
             let port = rng.below(PORTS);
             let class = view.packet(id).kind.class();
             if let Some(vc) = class
-                .vc_range(VCS)
-                .find(|&v| streams[port * VCS + v].is_none())
+                .vc_range(vcs)
+                .find(|&v| streams[port * vcs + v].is_none())
             {
-                streams[port * VCS + vc] = Some(Stream {
+                streams[port * vcs + vc] = Some(Stream {
                     flits: Flit::sequence(id, nflits).collect(),
                 });
             }
@@ -437,7 +476,7 @@ fn allocation_sweep_never_double_grants_and_credits_stay_bounded() {
             r.busy.force_busy(bank, cycle + 1 + rng.below(30) as u64);
         }
 
-        for flat in 0..PORTS * VCS {
+        for flat in 0..PORTS * vcs {
             let Some(stream) = &mut streams[flat] else {
                 continue;
             };
@@ -447,7 +486,7 @@ fn allocation_sweep_never_double_grants_and_credits_stay_bounded() {
             let mut flit = stream.flits.pop_front().expect("streams are non-empty");
             flit.ready_at = cycle + STAGES;
             upstream[flat] -= 1;
-            r.accept(&mut ws, flat / VCS, flat % VCS, flit);
+            r.accept(&mut ws, flat / vcs, flat % vcs, flit);
             if stream.flits.is_empty() {
                 streams[flat] = None;
             }
@@ -455,13 +494,15 @@ fn allocation_sweep_never_double_grants_and_credits_stay_bounded() {
 
         let p = params(cycle, policy);
         r.step_va(&mut ws, &view, p);
-        let moves = r.step_sa(&mut ws, &view, p);
+        granted.clear();
+        r.step_sa(&mut ws, &view, p, &mut granted);
+        let moves: Vec<_> = granted.iter().map(|(_, m)| m).collect();
         total_moves += moves.len();
 
         // SA properties: one grant per output port, one per input port.
         let mut out_seen = [false; PORTS];
         let mut in_seen = [false; PORTS];
-        for m in moves {
+        for m in &moves {
             assert!(!out_seen[m.out_dir.port()], "output port double-granted");
             assert!(!in_seen[m.in_port], "input port double-granted");
             out_seen[m.out_dir.port()] = true;
@@ -471,11 +512,11 @@ fn allocation_sweep_never_double_grants_and_credits_stay_bounded() {
 
         let scheduled: Vec<(usize, usize, usize)> = moves
             .iter()
-            .map(|m| (m.in_port * VCS + m.in_vc, m.out_dir.port(), m.out_vc))
+            .map(|m| (m.in_port * vcs + m.in_vc, m.out_dir.port(), m.out_vc))
             .collect();
         for (in_flat, dp, ov) in scheduled {
             upstream[in_flat] += 1;
-            outstanding[dp * VCS + ov] += 1;
+            outstanding[dp * vcs + ov] += 1;
             let delay = 1 + rng.below(6) as u64;
             returns.push((cycle + delay, dp, ov));
         }
@@ -485,7 +526,7 @@ fn allocation_sweep_never_double_grants_and_credits_stay_bounded() {
         // credit conservation holds lane by lane.
         let mut claimed = std::collections::HashSet::new();
         for port in 0..PORTS {
-            for vc in 0..VCS {
+            for vc in 0..vcs {
                 if let Some(route) = r.input_vc(&ws, port, vc).route() {
                     assert!(
                         claimed.insert((route.dir.port(), route.vc)),
@@ -497,7 +538,7 @@ fn allocation_sweep_never_double_grants_and_credits_stay_bounded() {
                         "cycle {cycle}: owner does not point back"
                     );
                 }
-                let flat = port * VCS + vc;
+                let flat = port * vcs + vc;
                 let credits = ws.port(0, port).credits(vc);
                 assert!(credits as usize <= DEPTH, "credit overflow");
                 assert_eq!(
@@ -507,7 +548,7 @@ fn allocation_sweep_never_double_grants_and_credits_stay_bounded() {
                 );
             }
         }
-        for (port, vc) in (0..PORTS).flat_map(|p| (0..VCS).map(move |v| (p, v))) {
+        for (port, vc) in (0..PORTS).flat_map(|p| (0..vcs).map(move |v| (p, v))) {
             if let Some((ip, iv)) = ws.port(0, port).owner(vc) {
                 assert_eq!(
                     r.input_vc(&ws, ip as usize, iv as usize)
