@@ -1,20 +1,20 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 build+test, formatting, workspace-wide lints, every
-# test of every workspace crate in release (among them the audited
-# all-experiment sweep, the determinism and FullStack-digest pins, the
-# fault campaign, the serve, cache, conformance and snoc CLI suites and
-# every unit test), the NoC crate's tests again in debug so its
-# debug_asserts run on the lockstep suites, an env-read guard (no
-# library crate reads the environment), a strict-CLI check (a typo'd
-# flag or SNOC_* variable must fail without touching any file), a
-# sweep determinism smoke test (SNOC_THREADS must not change `snoc
-# repro`'s stdout), a sweep-cache leg (a warm rerun must be
-# byte-identical, cache-served, and at least 2x faster), a perf smoke
-# gated against the tracked baseline, telemetry, faults and scaling
-# smokes, a `snoc serve` smoke (daemon simulates a cell once, serves
-# the repeat from cache, dedups an identical resubmission, and shuts
-# down cleanly), a byte-identity leg (every legacy results/ file must
-# regenerate exactly), and an optional coverage floor.
+# CI gate: tier-1 build+test (every test of every workspace crate in
+# debug, so the NoC workspace's debug_asserts run), formatting,
+# workspace-wide lints, the same tests again in release (among them the
+# audited all-experiment sweep, the determinism and FullStack-digest
+# pins, the fault campaign, the serve, cache, conformance and snoc CLI
+# suites and every unit test), an env-read guard (no library crate reads
+# the environment), a strict-CLI check (a typo'd flag or SNOC_* variable
+# must fail without touching any file), a sweep determinism smoke test
+# (SNOC_THREADS must not change `snoc repro`'s stdout), a sweep-cache
+# leg (a warm rerun must be byte-identical, cache-served, and at least
+# 2x faster), a perf smoke gated against the tracked baseline,
+# telemetry, faults and scaling smokes, a `snoc serve` smoke (daemon
+# simulates a cell once, serves the repeat from cache, dedups an
+# identical resubmission, and shuts down cleanly), a byte-identity leg
+# (every legacy results/ file must regenerate exactly), and an optional
+# coverage floor.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -25,7 +25,7 @@ snoc() {
 echo "== tier 1: release build =="
 cargo build --release
 
-echo "== tier 1: tests =="
+echo "== tier 1: every workspace test in debug (debug_asserts on) =="
 cargo test -q
 
 echo "== formatting =="
@@ -36,9 +36,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== workspace: every crate's tests in release =="
 cargo test --release --workspace -q
-
-echo "== NoC tests in debug: the workspace's ring, credit and cache debug_asserts run =="
-cargo test -p snoc-noc -q
 
 echo "== env guard: no library crate reads or writes the environment =="
 if grep -rEn 'std::env::(var|vars|set_var|remove_var|args)' \

@@ -5,9 +5,9 @@
 //! network-step kernel, one full Quick-scale fig6 cell, a core-bound
 //! Quick cell (calculix, whose near-idle L2 leaves the per-cycle fixed
 //! costs exposed), one Quick 16x16/K16 cell, the Quick-scale fig6
-//! sweep both cold (caching and warm reuse off) and warm (cache-hit
-//! steady state), and three per-layer kernels (a cache-array probe, a
-//! bank's write service and profile-stream generation) — and writes a
+//! sweep both cold (caching off) and warm (cache-hit steady state),
+//! and three per-layer kernels (a cache-array probe, a bank's write
+//! service and profile-stream generation) — and writes a
 //! `snoc-bench/1` document (`BENCH_hotpath.json` unless `--out` says
 //! otherwise).
 //!
@@ -162,15 +162,14 @@ fn measure(smoke: bool) -> Vec<(String, Timing)> {
     });
 
     // The incremental-sweep machinery: one full Quick-scale fig6 grid
-    // per iteration. "Cold" disables result caching and warm-state
-    // reuse (every iteration pays full price); "warm" shares one
-    // runner, whose in-process cache is primed during the harness
-    // warm-up window, so every measured iteration is pure cache hits.
+    // per iteration. "Cold" disables result caching (every iteration
+    // pays full price); "warm" shares one runner, whose in-process
+    // cache is primed during the harness warm-up window, so every
+    // measured iteration is pure cache hits.
     let grid = || fig6::Fig6.grid(Scale::Quick);
     r.time("sweep/fig6_quick_cold", || {
         SweepRunner::new()
             .cache(false)
-            .warm_reuse(false)
             .run_grid("fig6/bench-cold", grid())
             .len()
     });

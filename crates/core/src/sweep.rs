@@ -24,24 +24,20 @@
 //! caught on its worker and reported as [`CellError`] in that cell's
 //! slot; the rest of the grid still runs.
 //!
+//! Every simulated cell is built the same way: its worker calls
+//! [`System::new`] and drops the `System` when the cell ends, so no
+//! state crosses from one cell to the next.
+//!
 //! # Incremental sweeps
 //!
-//! Two optimizations (both on by default) make re-running a sweep much
+//! Result caching (on by default) makes re-running a sweep much
 //! cheaper than its first run without changing a single output byte:
-//!
-//! * **Result caching** — plain cells (no fault/audit/telemetry
-//!   instrumentation) are memoized under their content key
-//!   ([`cellcache::cell_key`]) in an in-process map that lives as long
-//!   as the runner (so repeated `run_grid` calls on one runner are
-//!   warm), and additionally in an on-disk store when
-//!   [`SweepRunner::cache_dir`] points somewhere.
-//!   [`SweepRunner::cache`]`(false)` disables it.
-//! * **Warm-state reuse** — after a cell finishes, its worker keeps the
-//!   fully-allocated [`System`] and rebuilds the next cell *in place*
-//!   ([`System::reset_for_cell`]), reusing the NoC workspace, packet
-//!   arena, routing tables and scratch instead of reallocating them.
-//!   [`SweepRunner::warm_reuse`]`(false)` falls back to a fresh
-//!   `System` per cell.
+//! plain cells (no fault/audit/telemetry instrumentation) are memoized
+//! under their content key ([`cellcache::cell_key`]) in an in-process
+//! map that lives as long as the runner (so repeated `run_grid` calls
+//! on one runner are warm), and additionally in an on-disk store when
+//! [`SweepRunner::cache_dir`] points somewhere.
+//! [`SweepRunner::cache`]`(false)` disables it.
 //!
 //! # Example
 //!
@@ -262,7 +258,6 @@ pub struct SweepRunner {
     threads: usize,
     observer: Box<dyn RunObserver>,
     cache: bool,
-    warm: bool,
     cache_dir: Option<PathBuf>,
     // Lives as long as the runner, so repeated `run_grid` calls on one
     // runner serve repeated cells from memory even without a disk
@@ -279,16 +274,15 @@ impl Default for SweepRunner {
 
 impl SweepRunner {
     /// A silent single-threaded runner (the deterministic baseline).
-    /// Result caching and warm-state reuse are on; the on-disk store
-    /// is off until [`SweepRunner::cache_dir`] points somewhere. The
-    /// runner runs exactly the specs it is handed: instrumentation
-    /// comes only from their `faults`/`audit`/`telemetry` fields.
+    /// Result caching is on; the on-disk store is off until
+    /// [`SweepRunner::cache_dir`] points somewhere. The runner runs
+    /// exactly the specs it is handed: instrumentation comes only from
+    /// their `faults`/`audit`/`telemetry` fields.
     pub fn new() -> Self {
         Self {
             threads: 1,
             observer: Box::new(NullObserver),
             cache: true,
-            warm: true,
             cache_dir: None,
             cell_cache: OnceLock::new(),
         }
@@ -310,12 +304,6 @@ impl SweepRunner {
     /// Switches result caching on or off.
     pub fn cache(mut self, on: bool) -> Self {
         self.cache = on;
-        self
-    }
-
-    /// Switches warm-state reuse on or off.
-    pub fn warm_reuse(mut self, on: bool) -> Self {
-        self.warm = on;
         self
     }
 
@@ -359,9 +347,11 @@ impl SweepRunner {
 
         // Workers claim cells from per-worker stealing deques and
         // deposit results in indexed slots — completion order never
-        // leaks into the output.
-        let specs: Vec<Mutex<Option<RunSpec>>> =
-            grid.into_iter().map(|s| Mutex::new(Some(s))).collect();
+        // leaks into the output. Workers only borrow their specs, and
+        // the grid is freed on this thread once they are done: a worker
+        // never frees memory another thread allocated, so what the
+        // allocator keeps resident does not depend on the order the
+        // workers happen to finish their cells in.
         let slots: Vec<Mutex<Option<CellResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let hits = AtomicUsize::new(0);
         let cache: Option<&CellCache> = self.cache.then(|| {
@@ -369,14 +359,13 @@ impl SweepRunner {
                 .cell_cache
                 .get_or_init(|| Arc::new(CellCache::new(self.cache_dir.clone())))
         });
-        let warm_on = self.warm;
 
-        // Each worker is seeded a contiguous block of the grid (good
-        // locality for warm reuse: neighbouring cells usually share a
-        // topology). A worker pops its own deque from the front; when
-        // that runs dry it scans the other deques in ring order and
-        // steals from the *back*, taking the work its victim would
-        // have reached last.
+        // Each worker is seeded a contiguous block of the grid (handing
+        // out cells one at a time from a shared counter measured slower
+        // on the Quick fig6 grid). A worker pops its own deque from the
+        // front; when that runs dry it scans the other deques in ring
+        // order and steals from the *back*, taking the work its victim
+        // would have reached last.
         let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
             .map(|w| Mutex::new((w * n / threads..(w + 1) * n / threads).collect()))
             .collect();
@@ -388,14 +377,8 @@ impl SweepRunner {
         };
 
         let work = |wid: usize| {
-            // The worker's warm System, carried between its cells.
-            let mut warm: Option<System> = None;
             while let Some(i) = claim(wid) {
-                let spec = specs[i]
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("each cell claimed once");
+                let spec = &grid[i];
                 observer.cell_started(i, &spec.label);
                 let label = spec.label.clone();
                 let sim_cycles = spec.cfg.warmup_cycles + spec.cfg.measure_cycles;
@@ -403,7 +386,7 @@ impl SweepRunner {
 
                 // Cache probe. Instrumented cells key to None and are
                 // always simulated.
-                let key = cache.and_then(|_| cellcache::cell_key(&spec));
+                let key = cache.and_then(|_| cellcache::cell_key(spec));
                 if let (Some(cache), Some(key)) = (cache, key) {
                     let probe = cache.lookup(key);
                     if let Some(note) = &probe.note {
@@ -426,17 +409,7 @@ impl SweepRunner {
                 }
 
                 let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                    // Reuse the worker's previous System in place when
-                    // allowed; a panic anywhere in here drops the
-                    // (possibly half-reset) System with the unwind, so
-                    // a poisoned instance is never carried forward.
-                    let mut system = match warm.take() {
-                        Some(mut s) if warm_on => {
-                            s.reset_for_cell(spec.cfg, &spec.workload, spec.mode);
-                            s
-                        }
-                        _ => System::new(spec.cfg, &spec.workload, spec.mode),
-                    };
+                    let mut system = System::new(spec.cfg, &spec.workload, spec.mode);
                     if let Some(plan) = spec.faults {
                         system.enable_faults(plan);
                     }
@@ -446,13 +419,8 @@ impl SweepRunner {
                     if let Some(cfg) = spec.telemetry {
                         system.enable_telemetry(cfg);
                     }
-                    let metrics = system.run();
-                    (metrics, system)
+                    system.run()
                 }))
-                .map(|(metrics, system)| {
-                    warm = Some(system);
-                    metrics
-                })
                 .map_err(|p| CellError::Panicked(panic_message(p)));
                 if let Ok(metrics) = &outcome {
                     if let Some(audit) = &metrics.audit {
@@ -560,42 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_reuse_matches_fresh_systems() {
-        // One worker drives the whole grid through a single reused
-        // System, crossing scenario boundaries (different path modes,
-        // arbitration policies, write-buffer setups); the metrics must
-        // be bit-identical to building a fresh System per cell.
-        let grid = || {
-            let mut g = vec![tiny("a", "tpcc"), tiny("b", "sap")];
-            for sc in [Scenario::SttRam4TsbWb, Scenario::SttRam64Tsb] {
-                let cfg = sc.config().rebuild().cycles(100, 400).build();
-                g.push(RunSpec::homogeneous(
-                    sc.name(),
-                    cfg,
-                    table3::by_name("lbm").unwrap(),
-                ));
-            }
-            g
-        };
-        let fresh = SweepRunner::new()
-            .cache(false)
-            .warm_reuse(false)
-            .run_grid("t", grid());
-        let warm = SweepRunner::new()
-            .cache(false)
-            .warm_reuse(true)
-            .run_grid("t", grid());
-        for (f, w) in fresh.iter().zip(&warm) {
-            assert_eq!(
-                format!("{:?}", f.outcome),
-                format!("{:?}", w.outcome),
-                "cell {} must not see the previous cell's state",
-                f.label
-            );
-        }
-    }
-
-    #[test]
     fn the_memo_map_outlives_a_single_run_grid_call() {
         // Rerunning a grid on the *same* runner must be served entirely
         // from the in-process map — no disk store involved. (A bench
@@ -621,30 +553,6 @@ mod tests {
         for (f, s) in first.iter().zip(&second) {
             assert_eq!(format!("{:?}", f.outcome), format!("{:?}", s.outcome));
         }
-    }
-
-    #[test]
-    fn warm_reuse_recovers_after_a_panicked_cell() {
-        // A panic mid-cell drops the (possibly half-reset) System; the
-        // worker must fall back to a fresh build for the next cell and
-        // still produce the schedule-independent result.
-        let mut bad = tiny("bad", "sap");
-        bad.cfg.regions = 5; // fails validation -> panic
-        let grid = vec![tiny("a", "tpcc"), bad, tiny("c", "lbm")];
-        let results = SweepRunner::new()
-            .cache(false)
-            .warm_reuse(true)
-            .run_grid("t", grid);
-        assert!(results[0].outcome.is_ok());
-        assert!(matches!(results[1].outcome, Err(CellError::Panicked(_))));
-        let fresh = SweepRunner::new()
-            .cache(false)
-            .warm_reuse(false)
-            .run_grid("t", vec![tiny("c", "lbm")]);
-        assert_eq!(
-            format!("{:?}", results[2].outcome),
-            format!("{:?}", fresh[0].outcome),
-        );
     }
 
     #[test]
@@ -676,6 +584,15 @@ mod tests {
         assert!(matches!(results[1].outcome, Err(CellError::Panicked(_))));
         assert_eq!(results[1].sim_cycles, 0);
         assert!(results[2].outcome.is_ok());
+        // The cell after the panic, on the panicked cell's worker,
+        // equals that cell run alone.
+        let alone = SweepRunner::new()
+            .cache(false)
+            .run_grid("t", vec![tiny("c", "lbm")]);
+        assert_eq!(
+            format!("{:?}", results[2].outcome),
+            format!("{:?}", alone[0].outcome),
+        );
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! * [`DriveMode::FullStack`] — real L1 tag arrays and the MESI
 //!   directory; coherence traffic (invalidations, forwards, writebacks
 //!   through the home bank) emerges organically.
+//!
+//! One `System` simulates one cell: [`System::new`] builds it,
+//! [`System::run`] drives warm-up and measurement, and the sweep
+//! runner drops it when the cell ends. No state carries over to the
+//! next cell, which gets a `System` of its own.
 
 use crate::metrics::RunMetrics;
 use snoc_common::config::SystemConfig;
@@ -52,12 +57,6 @@ fn compose_token(core: CoreId, token: u64) -> u64 {
 
 fn core_of_token(token: u64) -> CoreId {
     CoreId::new(((token >> 32) & 0xFFFF) as u16)
-}
-
-/// The preconditions of building a system for one cell.
-fn check_cell(cfg: &SystemConfig, workload: &Workload) {
-    cfg.validate().expect("valid configuration");
-    assert_eq!(workload.apps.len(), cfg.cores(), "one application per core");
 }
 
 enum Stream {
@@ -121,125 +120,77 @@ impl System {
     /// Panics if the configuration fails [`SystemConfig::validate`] or
     /// the workload does not cover every core.
     pub fn new(cfg: SystemConfig, workload: &Workload, mode: DriveMode) -> Self {
-        check_cell(&cfg, workload);
-        let mut system = Self {
+        cfg.validate().expect("valid configuration");
+        assert_eq!(workload.apps.len(), cfg.cores(), "one application per core");
+        let banks_n = cfg.banks();
+        let cap_factor = cfg.effective_capacity_factor();
+        let tag_mode = match mode {
+            DriveMode::Profile => TagMode::Probabilistic,
+            DriveMode::FullStack => TagMode::Real,
+        };
+        let w = cfg.noc.width as u16;
+        let h = cfg.noc.height as u16;
+        Self {
             cfg,
             mode,
             mesh: Mesh::new(cfg.noc.width, cfg.noc.height),
             net: Network::new(NetworkParams::resolve(&cfg, &NocEnv::default())),
-            cores: Vec::new(),
-            streams: Vec::new(),
-            l1s: Vec::new(),
-            banks: Vec::new(),
-            mcs: Vec::new(),
-            mc_nodes: Vec::new(),
             now: 0,
             pending_reads: HashMap::new(),
             full_issue: HashMap::new(),
             uncore_rtt: Accumulator::new(),
             uncore_rtt_tail: Reservoir::new(4096),
-            commit_base: Vec::new(),
             inject_cap: 24,
             fill_sink: Vec::new(),
             delivery_nodes: Vec::new(),
-        };
-        system.load_cell(workload);
-        system
-    }
-
-    /// Re-targets this system at a new sweep cell, reusing the
-    /// network's allocated workspace, packet arena, routing
-    /// memoization and scratch via [`Network::reset`] instead of
-    /// reconstructing them.
-    ///
-    /// Cores, streams, caches, banks and controllers are rebuilt
-    /// fresh — they are cheap relative to the network, and rebuilding
-    /// them is trivially identical to construction. A system reset
-    /// this way produces bit-identical metrics to
-    /// [`System::new`] with the same arguments (the conformance and
-    /// sweep-cache tests assert this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SystemConfig::validate`] or
-    /// the workload does not cover every core.
-    pub fn reset_for_cell(&mut self, cfg: SystemConfig, workload: &Workload, mode: DriveMode) {
-        check_cell(&cfg, workload);
-        self.net
-            .reset(NetworkParams::resolve(&cfg, &NocEnv::default()));
-        self.cfg = cfg;
-        self.mode = mode;
-        self.uncore_rtt_tail = Reservoir::new(4096);
-        self.load_cell(workload);
-    }
-
-    /// Builds everything but the network for `self.cfg` and
-    /// `self.mode`: the body [`System::new`] and
-    /// [`System::reset_for_cell`] share.
-    fn load_cell(&mut self, workload: &Workload) {
-        let cfg = self.cfg;
-        let mode = self.mode;
-        let banks_n = cfg.banks();
-        let cap_factor = cfg.effective_capacity_factor();
-        self.mesh = Mesh::new(cfg.noc.width, cfg.noc.height);
-        self.cores = (0..cfg.cores())
-            .map(|i| OooCore::new(CoreId::new(i as u16), cfg.core))
-            .collect();
-        self.streams = workload
-            .apps
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let core = CoreId::new(i as u16);
-                match mode {
-                    DriveMode::Profile => {
-                        Stream::Profile(ProfileStream::new(p, core, banks_n, cap_factor, cfg.seed))
+            cores: (0..cfg.cores())
+                .map(|i| OooCore::new(CoreId::new(i as u16), cfg.core))
+                .collect(),
+            streams: workload
+                .apps
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let core = CoreId::new(i as u16);
+                    match mode {
+                        DriveMode::Profile => Stream::Profile(ProfileStream::new(
+                            p, core, banks_n, cap_factor, cfg.seed,
+                        )),
+                        DriveMode::FullStack => {
+                            Stream::Full(FullStackStream::new(p, core, banks_n, cfg.seed))
+                        }
                     }
-                    DriveMode::FullStack => {
-                        Stream::Full(FullStackStream::new(p, core, banks_n, cfg.seed))
-                    }
-                }
-            })
-            .collect();
-        self.l1s = (0..cfg.cores())
-            .map(|i| L1Cache::new(CoreId::new(i as u16), &cfg.mem, banks_n))
-            .collect();
-        let tag_mode = match mode {
-            DriveMode::Profile => TagMode::Probabilistic,
-            DriveMode::FullStack => TagMode::Real,
-        };
-        self.banks = (0..banks_n)
-            .map(|i| {
-                L2Bank::new(
-                    BankId::new(i as u16),
-                    &cfg.mem,
-                    cfg.tech,
-                    cfg.write_buffer,
-                    tag_mode,
-                )
-            })
-            .collect();
-        let w = cfg.noc.width as u16;
-        let h = cfg.noc.height as u16;
-        self.mc_nodes = [0, w - 1, (h - 1) * w, h * w - 1]
-            .into_iter()
-            .map(NodeId::new)
-            .collect();
-        self.mcs = (0..cfg.mem.mem_controllers)
-            .map(|i| {
-                MemoryController::new(
-                    McId::new(i as u16),
-                    cfg.mem.dram_latency,
-                    cfg.mem.mc_outstanding,
-                )
-            })
-            .collect();
-        self.commit_base = vec![0; cfg.cores()];
-        self.now = 0;
-        self.pending_reads.clear();
-        self.full_issue.clear();
-        self.uncore_rtt = Accumulator::new();
-        self.fill_sink.clear();
+                })
+                .collect(),
+            l1s: (0..cfg.cores())
+                .map(|i| L1Cache::new(CoreId::new(i as u16), &cfg.mem, banks_n))
+                .collect(),
+            banks: (0..banks_n)
+                .map(|i| {
+                    L2Bank::new(
+                        BankId::new(i as u16),
+                        &cfg.mem,
+                        cfg.tech,
+                        cfg.write_buffer,
+                        tag_mode,
+                    )
+                })
+                .collect(),
+            mc_nodes: [0, w - 1, (h - 1) * w, h * w - 1]
+                .into_iter()
+                .map(NodeId::new)
+                .collect(),
+            mcs: (0..cfg.mem.mem_controllers)
+                .map(|i| {
+                    MemoryController::new(
+                        McId::new(i as u16),
+                        cfg.mem.dram_latency,
+                        cfg.mem.mc_outstanding,
+                    )
+                })
+                .collect(),
+            commit_base: vec![0; cfg.cores()],
+        }
     }
 
     /// All 64 cores run `profile` in profile-driven mode (the standard

@@ -116,17 +116,6 @@ impl Arena {
         p
     }
 
-    /// Empties the arena while keeping the slot vector's allocation,
-    /// and rewinds the uid counter so a reset arena assigns the exact
-    /// id and uid sequence of a fresh one (warm-state reuse must be
-    /// bit-identical to reconstruction, and audits key on uids).
-    pub fn reset(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.live = 0;
-        self.next_uid = 0;
-    }
-
     /// Number of live packets.
     pub fn live(&self) -> usize {
         self.live

@@ -453,7 +453,7 @@ impl NetAuditor {
                     // only a violation while allocation could in fact
                     // proceed (flit ready, free credited VC towards
                     // its route).
-                    let dir = net.routing.next_hop(r.coord(), packet);
+                    let dir = net.wiring.routing.next_hop(r.coord(), packet);
                     let range = packet.kind.class().vc_range(vcs);
                     let escape = front.ready_at <= now && r.has_free_credited_vc(ws, dir, range);
                     if !escape {

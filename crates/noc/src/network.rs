@@ -8,7 +8,7 @@ use crate::estimator::{EstimatorState, RcaState, WbEstimator};
 use crate::fault::{FaultPlan, FaultState, FaultSummary};
 use crate::nic::{DeliveryEvent, Nic};
 use crate::packet::{Flit, Packet, TrafficClass, WbTag};
-use crate::parent::ParentMap;
+use crate::parent::{ChildInfo, ParentMap};
 use crate::regions::RegionMap;
 use crate::router::{NetView, Router, StepParams, SwitchMove, MAX_BURST, PORTS};
 use crate::routing::RoutingTable;
@@ -21,6 +21,7 @@ use snoc_common::geom::{Coord, Direction, Layer, Mesh};
 use snoc_common::ids::{BankId, NodeId, PacketId, RegionId};
 use snoc_common::stats::Accumulator;
 use snoc_common::Cycle;
+use std::collections::HashMap;
 
 /// Construction parameters for a [`Network`].
 #[derive(Debug, Clone, Copy)]
@@ -183,7 +184,7 @@ impl WakeMask {
         self.bits.len()
     }
 
-    /// Puts every member back to sleep (warm-state reset).
+    /// Puts every member back to sleep.
     fn zero(&mut self) {
         self.bits.fill(0);
     }
@@ -199,6 +200,17 @@ impl WakeMask {
 /// Marks a port with no neighbour (mesh edge, or the vertical port
 /// that leads off the stack) in [`Network`]'s neighbour table.
 const NO_NEIGHBOUR: u32 = u32::MAX;
+
+/// The index of the router at `c`: the core layer's routers come first,
+/// then the cache layer's, each in node order.
+fn router_index(mesh: Mesh, c: Coord) -> usize {
+    let base = if c.layer == Layer::Cache {
+        mesh.nodes_per_layer()
+    } else {
+        0
+    };
+    base + mesh.node(c).index()
+}
 
 /// The network view handed to routers.
 struct View<'a> {
@@ -219,13 +231,84 @@ impl NetView for View<'_> {
     }
 }
 
+/// Everything the network keeps that derives from its region map.
+/// [`Wiring::new`] builds it at construction, and again when
+/// [`Network::rehome_region`] moves a region onto another TSB.
+#[derive(Debug)]
+pub(crate) struct Wiring {
+    /// The memoized routing function; owns the region map.
+    pub(crate) routing: RoutingTable,
+    /// The parent/child serialization points.
+    parents: ParentMap,
+    /// Per router, whether its Down port is a wide region TSB.
+    wide_down: Vec<bool>,
+    /// Indices of parent routers (non-empty child list), ascending.
+    parent_idxs: Vec<u32>,
+}
+
+impl Wiring {
+    /// Derives the region wiring from `regions`: the parent map (and
+    /// with it every router's child banks), the wide-down lanes, the
+    /// parent index list, the WB estimator map (into `estimator`, when
+    /// it is window-based) and the routing table.
+    fn new(
+        params: &NetworkParams,
+        mesh: Mesh,
+        regions: RegionMap,
+        estimator: &mut EstimatorState,
+    ) -> Self {
+        let parents = ParentMap::new(
+            mesh,
+            &regions,
+            params.parent_hops,
+            params.noc.router_stages,
+            params.noc.link_latency,
+        );
+        let mut wide_down = vec![false; 2 * mesh.nodes_per_layer()];
+        if params.path_mode == RequestPathMode::RegionTsbs {
+            for r in 0..regions.regions() {
+                let t = regions.tsb_node(RegionId::new(r as u16));
+                wide_down[t.index()] = true; // core-layer router above the TSB
+            }
+        }
+        let mut parent_idxs: Vec<u32> = parents
+            .parents()
+            .map(|p| router_index(mesh, p) as u32)
+            .collect();
+        parent_idxs.sort_unstable();
+        if let EstimatorState::WindowBased(map) = estimator {
+            *map = parents
+                .parents()
+                .map(|p| {
+                    let kids = parents.children_of(p).unwrap().iter().map(|c| c.bank);
+                    (p, WbEstimator::new(kids))
+                })
+                .collect();
+        }
+        Self {
+            routing: RoutingTable::new(mesh, params.path_mode, regions),
+            parents,
+            wide_down,
+            parent_idxs,
+        }
+    }
+
+    /// The child banks the router at `router` manages as a parent
+    /// (empty if it is none).
+    fn children(&self, router: Coord) -> Vec<ChildInfo> {
+        self.parents
+            .children_of(router)
+            .map(<[_]>::to_vec)
+            .unwrap_or_default()
+    }
+}
+
 /// The cycle-level 3D NoC simulator.
 #[derive(Debug)]
 pub struct Network {
     params: NetworkParams,
     mesh: Mesh,
-    pub(crate) routing: RoutingTable,
-    parents: ParentMap,
+    pub(crate) wiring: Wiring,
     pub(crate) routers: Vec<Router>,
     /// The structure-of-arrays store holding every router's VC
     /// buffer, credit and hold lanes.
@@ -233,7 +316,6 @@ pub struct Network {
     pub(crate) nics: Vec<Nic>,
     pub(crate) arena: Arena,
     pub(crate) estimator: EstimatorState,
-    wide_down: Vec<bool>,
     /// Per router, the router index behind each port (`NO_NEIGHBOUR`
     /// at the edges); fixed by the geometry.
     neighbours: Vec<[u32; PORTS]>,
@@ -261,8 +343,6 @@ pub struct Network {
     /// once by `Router::step_sa` and applied by reference after every
     /// router has allocated (persistent scratch).
     moves: Vec<(usize, SwitchMove)>,
-    /// Indices of parent routers (non-empty child list), ascending.
-    parent_idxs: Vec<u32>,
     /// Persistent scratch for the NIC drain credit sink.
     eject_credits: Vec<(usize, u8)>,
     /// Persistent scratch for the NIC drain event sink.
@@ -288,32 +368,31 @@ impl Network {
             params.noc.tsb_width_factor
         );
         let mesh = Mesh::new(params.noc.width, params.noc.height);
-        let regions = RegionMap::new(mesh, params.regions, params.placement);
-        let parents = ParentMap::new(
-            mesh,
-            &regions,
-            params.parent_hops,
-            params.noc.router_stages,
-            params.noc.link_latency,
-        );
         let n = mesh.nodes_per_layer();
+        let mut estimator = match params.arbitration {
+            ArbitrationPolicy::BankAware {
+                estimator: Estimator::Rca,
+            } => EstimatorState::Rca(RcaState::new(2 * n)),
+            // The wiring gives every parent its estimator.
+            ArbitrationPolicy::BankAware {
+                estimator: Estimator::WindowBased,
+            } => EstimatorState::WindowBased(HashMap::new()),
+            _ => EstimatorState::Simple,
+        };
+        let regions = RegionMap::new(mesh, params.regions, params.placement);
+        let wiring = Wiring::new(&params, mesh, regions, &mut estimator);
 
         let mut routers = Vec::with_capacity(2 * n);
         let mut nics = Vec::with_capacity(2 * n);
-        let mut wide_down = vec![false; 2 * n];
         for layer in [Layer::Core, Layer::Cache] {
             for node in mesh.nodes() {
                 let coord = mesh.coord(node, layer);
-                let children = parents
-                    .children_of(coord)
-                    .map(<[_]>::to_vec)
-                    .unwrap_or_default();
                 routers.push(Router::new(
                     routers.len(),
                     coord,
                     params.noc.vcs_per_port,
                     params.noc.vc_depth,
-                    children,
+                    wiring.children(coord),
                 ));
                 let cap = match layer {
                     Layer::Core => params.core_outbox_cap,
@@ -329,70 +408,20 @@ impl Network {
             }
         }
 
-        if params.path_mode == RequestPathMode::RegionTsbs {
-            for r in 0..regions.regions() {
-                let t = regions.tsb_node(snoc_common::ids::RegionId::new(r as u16));
-                wide_down[t.index()] = true; // core-layer router above the TSB
-            }
-        }
-
-        let estimator = match params.arbitration {
-            ArbitrationPolicy::BankAware {
-                estimator: Estimator::Rca,
-            } => EstimatorState::Rca(RcaState::new(2 * n)),
-            ArbitrationPolicy::BankAware {
-                estimator: Estimator::WindowBased,
-            } => {
-                let map = parents
-                    .parents()
-                    .map(|p| {
-                        let kids = parents.children_of(p).unwrap().iter().map(|c| c.bank);
-                        (p, WbEstimator::new(kids))
-                    })
-                    .collect();
-                EstimatorState::WindowBased(map)
-            }
-            _ => EstimatorState::Simple,
-        };
-
-        let routing = RoutingTable::new(mesh, params.path_mode, regions);
-        let parent_idxs = routers
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.children().is_empty())
-            .map(|(i, _)| i as u32)
-            .collect();
-        let telemetry = params.telemetry.map(|cfg| {
-            Box::new(NetTelemetry::new(
-                cfg,
-                routers.len(),
-                params.noc.vcs_per_port,
-            ))
-        });
-        if telemetry.is_some() {
-            // Routers report VA grants and closed holds through their
-            // taps only while a collector is listening.
-            for r in &mut routers {
-                r.tap = Some(Box::default());
-            }
-        }
         let ws = NocWorkspace::new(routers.len(), params.noc.vcs_per_port, params.noc.vc_depth);
         let neighbours = routers
             .iter()
             .map(|r| {
                 Direction::ALL.map(|dir| {
-                    mesh.neighbour(r.coord(), dir).map_or(NO_NEIGHBOUR, |c| {
-                        let base = if c.layer == Layer::Cache { n } else { 0 };
-                        (base + mesh.node(c).index()) as u32
-                    })
+                    mesh.neighbour(r.coord(), dir)
+                        .map_or(NO_NEIGHBOUR, |c| router_index(mesh, c) as u32)
                 })
             })
             .collect();
-        Self {
+        let mut net = Self {
             params,
             mesh,
-            routing,
-            parents,
+            wiring,
             router_wake: WakeMask::new(routers.len()),
             nic_inject_wake: WakeMask::new(routers.len()),
             nic_eject_wake: WakeMask::new(routers.len()),
@@ -401,7 +430,6 @@ impl Network {
             occupancy: vec![0; routers.len()],
             neighbours,
             moves: Vec::new(),
-            parent_idxs,
             eject_credits: Vec::new(),
             eject_events: Vec::new(),
             ws,
@@ -409,141 +437,22 @@ impl Network {
             nics,
             arena: Arena::new(),
             estimator,
-            wide_down,
             now: 0,
             stats: NetStats::default(),
-            auditor: params.audit.map(|cfg| Box::new(NetAuditor::new(cfg))),
-            telemetry,
-            faults: params
-                .faults
-                .map(|plan| Box::new(FaultState::new(plan, 2 * n))),
-        }
-    }
-
-    /// Returns the network to cycle 0 under `params`, reusing the
-    /// allocated workspace, packet arena, routers, NICs and scratch
-    /// instead of reconstructing them.
-    ///
-    /// When the new parameters share this network's physical geometry
-    /// (mesh dimensions, VC count/depth, flits per data packet and
-    /// outbox capacities), every component is rewound in place and all
-    /// *derived* structures — region map, parent map, routing table,
-    /// congestion estimators, wide-TSB flags, parent index list — are
-    /// rebuilt from `params` exactly as construction builds them. The
-    /// unconditional rebuild matters: a fault campaign's
-    /// [`Network::rehome_region`] permanently rewires those structures,
-    /// and a reset must not leak that wiring into the next cell.
-    /// Auditor, telemetry and fault state are re-derived from `params`
-    /// the same way [`Network::new`] derives them, so a reset network
-    /// is observably identical to a freshly constructed one (the
-    /// lockstep tests in `workspace_diff.rs` drive both move-for-move).
-    ///
-    /// Geometry changes fall back to full reconstruction.
-    pub fn reset(&mut self, params: NetworkParams) {
-        let old = &self.params.noc;
-        let compatible = old.width == params.noc.width
-            && old.height == params.noc.height
-            && old.vcs_per_port == params.noc.vcs_per_port
-            && old.vc_depth == params.noc.vc_depth
-            && old.data_flits == params.noc.data_flits
-            && self.params.cache_outbox_cap == params.cache_outbox_cap
-            && self.params.core_outbox_cap == params.core_outbox_cap;
-        if !compatible {
-            *self = Network::new(params);
-            return;
-        }
-        assert!(
-            params.noc.tsb_width_factor <= MAX_BURST,
-            "tsb_width_factor {} exceeds the supported burst bound {MAX_BURST}",
-            params.noc.tsb_width_factor
-        );
-
-        // Derived wiring, rebuilt from scratch (never carried over).
-        let regions = RegionMap::new(self.mesh, params.regions, params.placement);
-        let parents = ParentMap::new(
-            self.mesh,
-            &regions,
-            params.parent_hops,
-            params.noc.router_stages,
-            params.noc.link_latency,
-        );
-        for r in &mut self.routers {
-            let children = parents
-                .children_of(r.coord())
-                .map(<[_]>::to_vec)
-                .unwrap_or_default();
-            r.reset(children);
-        }
-        self.wide_down.iter_mut().for_each(|w| *w = false);
-        if params.path_mode == RequestPathMode::RegionTsbs {
-            for r in 0..regions.regions() {
-                let t = regions.tsb_node(RegionId::new(r as u16));
-                self.wide_down[t.index()] = true;
-            }
-        }
-        self.estimator = match params.arbitration {
-            ArbitrationPolicy::BankAware {
-                estimator: Estimator::Rca,
-            } => EstimatorState::Rca(RcaState::new(self.routers.len())),
-            ArbitrationPolicy::BankAware {
-                estimator: Estimator::WindowBased,
-            } => {
-                let map = parents
-                    .parents()
-                    .map(|p| {
-                        let kids = parents.children_of(p).unwrap().iter().map(|c| c.bank);
-                        (p, WbEstimator::new(kids))
-                    })
-                    .collect();
-                EstimatorState::WindowBased(map)
-            }
-            _ => EstimatorState::Simple,
+            auditor: None,
+            telemetry: None,
+            faults: None,
         };
-        self.parent_idxs = self
-            .routers
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.children().is_empty())
-            .map(|(i, _)| i as u32)
-            .collect();
-        self.routing = RoutingTable::new(self.mesh, params.path_mode, regions);
-        self.parents = parents;
-
-        // Allocated state, rewound in place.
-        self.ws.reset();
-        for nic in &mut self.nics {
-            nic.reset(params.noc.vc_depth);
+        if let Some(cfg) = params.audit {
+            net.enable_audit(cfg);
         }
-        self.arena.reset();
-        self.router_wake.zero();
-        self.nic_inject_wake.zero();
-        self.nic_eject_wake.zero();
-        self.nic_deliver_wake.zero();
-        self.wb_dirty.zero();
-        self.moves.clear();
-        self.eject_credits.clear();
-        self.eject_events.clear();
-        self.now = 0;
-        self.stats = NetStats::default();
-
-        // Instrumentation, re-derived exactly as `new` derives it.
-        self.auditor = params.audit.map(|cfg| Box::new(NetAuditor::new(cfg)));
-        self.telemetry = params.telemetry.map(|cfg| {
-            Box::new(NetTelemetry::new(
-                cfg,
-                self.routers.len(),
-                params.noc.vcs_per_port,
-            ))
-        });
-        if self.telemetry.is_some() {
-            for r in &mut self.routers {
-                r.tap = Some(Box::default());
-            }
+        if let Some(cfg) = params.telemetry {
+            net.enable_telemetry(cfg);
         }
-        self.faults = params
-            .faults
-            .map(|plan| Box::new(FaultState::new(plan, self.routers.len())));
-        self.params = params;
+        if let Some(plan) = params.faults {
+            net.enable_faults(plan);
+        }
+        net
     }
 
     /// The mesh geometry.
@@ -553,12 +462,12 @@ impl Network {
 
     /// The region map in force.
     pub fn regions(&self) -> &RegionMap {
-        self.routing.regions()
+        self.wiring.routing.regions()
     }
 
     /// The parent/child mapping in force.
     pub fn parents(&self) -> &ParentMap {
-        &self.parents
+        &self.wiring.parents
     }
 
     /// The construction parameters.
@@ -589,9 +498,7 @@ impl Network {
 
     /// Router index for a coordinate.
     pub(crate) fn ridx(&self, c: Coord) -> usize {
-        let n = self.mesh.nodes_per_layer();
-        let base = if c.layer == Layer::Cache { n } else { 0 };
-        base + self.mesh.node(c).index()
+        router_index(self.mesh, c)
     }
 
     /// The index of the router behind port `dir` of router `idx`, if
@@ -758,7 +665,7 @@ impl Network {
                 &self.ws,
                 self.arena.live(),
                 self.stats.delivered,
-                &self.wide_down,
+                &self.wiring.wide_down,
             );
         }
 
@@ -810,7 +717,7 @@ impl Network {
         // VC allocation and switch allocation at every active router.
         let view = View {
             arena: &self.arena,
-            routing: &self.routing,
+            routing: &self.wiring.routing,
             mesh: self.mesh,
         };
         let tsb_extra = self.params.noc.tsb_width_factor.saturating_sub(1);
@@ -829,7 +736,7 @@ impl Network {
                     policy: self.params.arbitration,
                     max_hold: self.params.max_hold,
                     hold_slack: self.params.hold_slack,
-                    wide_down: self.wide_down[idx],
+                    wide_down: self.wiring.wide_down[idx],
                     tsb_extra,
                     blocked: fault_blocked.map_or(0, |b| b[idx]),
                 };
@@ -929,7 +836,7 @@ impl Network {
             // the Down port of the core-layer router above it and the
             // Up port of the cache-layer router below it.
             f.summary.tsb_faults += 1;
-            let regions = self.routing.regions();
+            let regions = self.wiring.routing.regions();
             let r = f.rng().below(regions.regions());
             let t = regions.tsb_node(RegionId::new(r as u16));
             let until = now + plan.outage_cycles;
@@ -957,7 +864,7 @@ impl Network {
             if f.rng().chance(0.5) {
                 // Stuck-busy: the parent's prediction wedges far out;
                 // the periodic expiry sweep below is what un-wedges it.
-                let idx = self.ridx(self.parents.parent_of(b));
+                let idx = self.ridx(self.wiring.parents.parent_of(b));
                 self.routers[idx]
                     .busy
                     .force_busy(b, now + plan.stuck_cycles);
@@ -973,7 +880,7 @@ impl Network {
                     && self.params.path_mode == RequestPathMode::RegionTsbs
                     && self.params.regions > 1
                 {
-                    let regions = self.routing.regions();
+                    let regions = self.wiring.routing.regions();
                     let victim = RegionId::new(f.rng().below(regions.regions()) as u16);
                     let dead = self.mesh.coord(regions.tsb_node(victim), Layer::Cache);
                     // Re-home onto the nearest surviving TSB (ties break
@@ -992,7 +899,7 @@ impl Network {
         }
 
         if plan.expiry_period > 0 && now > 0 && now.is_multiple_of(plan.expiry_period) {
-            for &idx in &self.parent_idxs {
+            for &idx in &self.wiring.parent_idxs {
                 let clamped = self.routers[idx as usize]
                     .busy
                     .expire_stale(now, plan.busy_cap);
@@ -1015,11 +922,12 @@ impl Network {
     /// Re-homes `region`'s request traffic onto the TSB at `new_tsb`
     /// (fail-stop degradation after a permanent TSB death).
     ///
-    /// Rebuilds everything derived from the region map: the memoized
-    /// routing table, the parent/child serialization points (and each
-    /// router's busy/congestion tables via
-    /// [`Router::set_children`]), the wide-TSB lane set and the
-    /// window-based estimator state. Router VC and credit state is
+    /// Rewires everything derived from the region map, through the
+    /// derivation construction uses: the memoized routing table, the
+    /// parent/child serialization points (and each router's
+    /// busy/congestion tables via [`Router::set_children`]), the
+    /// wide-TSB lane set and the window-based estimator state (WB
+    /// estimates restart from empty). Router VC and credit state is
     /// untouched, so traffic already in flight drains normally — routes
     /// are recomputed per-position at each VC allocation, stale WB tag
     /// acks are ignored by the estimator's stamp check, and packets
@@ -1028,48 +936,12 @@ impl Network {
     /// blocked: already-switched flits must drain, and new requests no
     /// longer route through it.
     pub fn rehome_region(&mut self, region: RegionId, new_tsb: NodeId) {
-        let mut regions = self.routing.regions().clone();
+        let mut regions = self.wiring.routing.regions().clone();
         regions.retarget_tsb(region, new_tsb);
-        let parents = ParentMap::new(
-            self.mesh,
-            &regions,
-            self.params.parent_hops,
-            self.params.noc.router_stages,
-            self.params.noc.link_latency,
-        );
+        self.wiring = Wiring::new(&self.params, self.mesh, regions, &mut self.estimator);
         for r in &mut self.routers {
-            let children = parents
-                .children_of(r.coord())
-                .map(<[_]>::to_vec)
-                .unwrap_or_default();
-            r.set_children(children);
+            r.set_children(self.wiring.children(r.coord()));
         }
-        self.wide_down.iter_mut().for_each(|w| *w = false);
-        if self.params.path_mode == RequestPathMode::RegionTsbs {
-            for r in 0..regions.regions() {
-                let t = regions.tsb_node(RegionId::new(r as u16));
-                self.wide_down[t.index()] = true;
-            }
-        }
-        self.parent_idxs = self
-            .routers
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.children().is_empty())
-            .map(|(i, _)| i as u32)
-            .collect();
-        if matches!(self.estimator, EstimatorState::WindowBased(_)) {
-            let map = parents
-                .parents()
-                .map(|p| {
-                    let kids = parents.children_of(p).unwrap().iter().map(|c| c.bank);
-                    (p, WbEstimator::new(kids))
-                })
-                .collect();
-            self.estimator = EstimatorState::WindowBased(map);
-        }
-        self.parents = parents;
-        self.routing = RoutingTable::new(self.mesh, self.params.path_mode, regions);
     }
 
     /// Switches fault injection on before the first cycle.
@@ -1111,7 +983,7 @@ impl Network {
             EstimatorState::Simple => {}
             EstimatorState::Rca(rca) => {
                 let per_hop = self.params.noc.vc_depth * self.params.noc.vcs_per_port;
-                for &idx in &self.parent_idxs {
+                for &idx in &self.wiring.parent_idxs {
                     let idx = idx as usize;
                     self.routers[idx].refresh_child_cong_with(|c| {
                         rca.estimate_cycles(idx, c.first_hop, per_hop, c.hops)
@@ -1165,7 +1037,7 @@ impl Network {
                     let extra = (kind.flits(self.params.noc.data_flits) - 1) as u64;
                     let view = View {
                         arena: &self.arena,
-                        routing: &self.routing,
+                        routing: &self.wiring.routing,
                         mesh: self.mesh,
                     };
                     self.routers[idx].note_forward(
@@ -1246,6 +1118,7 @@ impl Network {
                 }
                 self.stats.tag_acks += 1;
                 let base = self
+                    .wiring
                     .parents
                     .child_info(tag.parent, tag.child)
                     .map(|c| c.base_latency)
@@ -2050,8 +1923,8 @@ mod tests {
         assert_eq!(net.regions().tsb_node(victim), survivor);
         assert!(!net.regions().is_tsb_node(dead));
         // The dead TSB's core-layer router lost its wide-down lane.
-        assert!(!net.wide_down[dead.index()]);
-        assert!(net.wide_down[survivor.index()]);
+        assert!(!net.wiring.wide_down[dead.index()]);
+        assert!(net.wiring.wide_down[survivor.index()]);
         // Requests into the victim region still arrive, via the
         // survivor's vertical hop.
         let src = core(&net, 63);

@@ -110,29 +110,6 @@ impl Nic {
         self.coord
     }
 
-    /// Returns the NI to its just-constructed state (empty queues and
-    /// bindings, full credits, zeroed counters and round-robin
-    /// pointer) while keeping the queue allocations. `depth` is the
-    /// VC buffer depth the NI was built with (it is not stored); a
-    /// reset NI is observably identical to a fresh [`Nic::new`] with
-    /// the same geometry.
-    pub fn reset(&mut self, depth: usize) {
-        for q in &mut self.inject_queues {
-            q.clear();
-        }
-        self.bindings.fill(None);
-        self.credits.fill(depth as u8);
-        self.inject_rr = 0;
-        for q in &mut self.eject {
-            q.clear();
-        }
-        self.eject_buffered = 0;
-        self.backlog = 0;
-        self.outbox.clear();
-        self.delivered = 0;
-        self.injected = 0;
-    }
-
     /// Queues a packet for injection.
     pub fn enqueue(&mut self, id: PacketId, class: TrafficClass) {
         self.inject_queues[class_idx(class)].push_back(id);

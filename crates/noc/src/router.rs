@@ -224,7 +224,7 @@ pub struct Router {
 
 impl Router {
     /// Creates the router at workspace index `idx` with `vcs` VCs of
-    /// `depth` flits on each port.
+    /// `depth` flits on each port, managing `children` as a parent.
     pub fn new(
         idx: usize,
         coord: Coord,
@@ -232,19 +232,7 @@ impl Router {
         depth: usize,
         children: Vec<ChildInfo>,
     ) -> Self {
-        let busy = BusyTable::new(children.iter().map(|c| c.bank));
-        let child_cong = vec![0; children.len()];
-        assert!(children.len() < u8::MAX as usize, "child slots fit in u8");
-        let lut_len = children
-            .iter()
-            .map(|c| c.bank.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut child_lut = vec![u8::MAX; lut_len].into_boxed_slice();
-        for (i, c) in children.iter().enumerate() {
-            child_lut[c.bank.index()] = i as u8;
-        }
-        Self {
+        let mut router = Self {
             coord,
             idx,
             vcs,
@@ -254,13 +242,15 @@ impl Router {
             va_mask: 0,
             sa_mask: [0; PORTS],
             sa_ports: 0,
-            children,
-            child_lut,
-            busy,
-            child_cong,
+            children: Vec::new(),
+            child_lut: Box::default(),
+            busy: BusyTable::default(),
+            child_cong: Vec::new(),
             stats: RouterStats::default(),
             tap: None,
-        }
+        };
+        router.set_children(children);
+        router
     }
 
     /// This router's position.
@@ -278,14 +268,14 @@ impl Router {
         &self.children
     }
 
-    /// Replaces this router's child-bank assignment (TSB re-homing:
-    /// when a region's request traffic moves to a surviving TSB, the
-    /// serialization points — and with them the busy tables — move
-    /// too). Rebuilds the busy table, congestion estimates and lookup
-    /// table from scratch exactly as construction does; in-flight VC,
-    /// credit and statistics state is deliberately untouched so the
-    /// network keeps draining under the old wiring while new requests
-    /// follow the new one.
+    /// Replaces this router's child-bank assignment and rebuilds the
+    /// busy table, congestion estimates and lookup table from it.
+    /// Construction assigns the first children; TSB re-homing moves
+    /// them, since the serialization points (and with them the busy
+    /// tables) follow a region's request traffic to its surviving TSB.
+    /// In-flight VC, credit and statistics state is deliberately
+    /// untouched so the network keeps draining under the old wiring
+    /// while new requests follow the new one.
     pub fn set_children(&mut self, children: Vec<ChildInfo>) {
         assert!(children.len() < u8::MAX as usize, "child slots fit in u8");
         self.busy = BusyTable::new(children.iter().map(|c| c.bank));
@@ -301,24 +291,6 @@ impl Router {
         }
         self.child_lut = child_lut;
         self.children = children;
-    }
-
-    /// Returns the router to its just-constructed state with a (possibly
-    /// new) child assignment: allocation masks and round-robin pointers
-    /// rewound, statistics cleared, busy table and congestion estimates
-    /// rebuilt, telemetry scratch dropped (the network re-installs taps
-    /// when telemetry is enabled). A reset router is observably
-    /// identical to a fresh [`Router::new`] with the same geometry and
-    /// children.
-    pub fn reset(&mut self, children: Vec<ChildInfo>) {
-        self.va_rr = [0; PORTS];
-        self.sa_rr = [0; PORTS];
-        self.va_mask = 0;
-        self.sa_mask = [0; PORTS];
-        self.sa_ports = 0;
-        self.stats = RouterStats::default();
-        self.tap = None;
-        self.set_children(children);
     }
 
     /// The position of `bank` in `children`/`child_cong`, if managed.

@@ -59,7 +59,7 @@ pub struct NocWorkspace {
     len: Box<[u8]>,
     /// Pipeline-ready cycle of each non-empty input VC's front flit: a
     /// copy of its `f_ready` slot. Meaningless while `len == 0`, so it
-    /// needs no sentinel and no reset; `push_back` on an empty lane and
+    /// needs no sentinel; `push_back` on an empty lane and
     /// `pop_front` keep it equal to the ring front.
     front_ready: Box<[u64]>,
     /// Allocated output per input VC: `(out_port << 8) | out_vc`, or
@@ -117,24 +117,6 @@ impl NocWorkspace {
             owner: vec![NO_OWNER; lanes].into_boxed_slice(),
             buffered: vec![0; routers].into_boxed_slice(),
         }
-    }
-
-    /// Returns every lane to its just-constructed state without
-    /// touching the allocations: empty rings, no routes or owners,
-    /// full credits, zero occupancy. The flit slots and the front-ready
-    /// cache are left as-is — `len == 0` makes them unreadable, and
-    /// every write path stores before the matching read — so a reset
-    /// store is observably identical to a fresh [`NocWorkspace::new`]
-    /// with the same geometry.
-    pub fn reset(&mut self) {
-        self.head.fill(0);
-        self.len.fill(0);
-        self.route.fill(NO_ROUTE);
-        self.held.fill(NO_HOLD);
-        self.policy_held.fill(0);
-        self.credits.fill(self.depth as u8);
-        self.owner.fill(NO_OWNER);
-        self.buffered.fill(0);
     }
 
     /// Number of routers served.

@@ -1,6 +1,7 @@
 //! Differential test: the workspace-backed router against a naive
 //! reference implementation, plus property tests for the allocation
-//! bitmask sweeps.
+//! bitmask sweeps and audited whole-network runs at several mesh
+//! geometries.
 //!
 //! The reference router is written independently of the production
 //! code (same idiom as `routing_diff.rs`): per-VC `VecDeque` buffers,
@@ -23,6 +24,7 @@ use snoc_noc::packet::{Flit, Packet, PacketKind};
 use snoc_noc::parent::ChildInfo;
 use snoc_noc::router::{NetView, OutRoute, Router, StepParams, PORTS};
 use snoc_noc::workspace::NocWorkspace;
+use snoc_noc::AuditConfig;
 use std::collections::VecDeque;
 
 /// VCs per port under test: every count the ablation sweep uses, 4 to
@@ -565,66 +567,13 @@ fn bank_aware_sweep_properties(vcs: usize) {
     assert_eq!(ws.buffered(0), 0, "run must drain (no livelock from holds)");
 }
 
-/// Every observable piece of lane state must agree between two
-/// networks, router by router.
-fn assert_networks_match(a: &Network, b: &Network, cycle: Cycle) {
-    let vcs = a.params().noc.vcs_per_port;
-    let (wa, wb) = (a.workspace(), b.workspace());
-    assert_eq!(wa.routers(), wb.routers());
-    for i in 0..wa.routers() {
-        assert_eq!(
-            wa.buffered(i),
-            wb.buffered(i),
-            "cycle {cycle}: buffered at router {i}"
-        );
-        for port in 0..PORTS {
-            let (pa, pb) = (wa.port(i, port), wb.port(i, port));
-            for vc in 0..vcs {
-                assert_eq!(
-                    pa.credits(vc),
-                    pb.credits(vc),
-                    "cycle {cycle}: credits at {i}/{port}/{vc}"
-                );
-                assert_eq!(
-                    pa.owner(vc),
-                    pb.owner(vc),
-                    "cycle {cycle}: owner at {i}/{port}/{vc}"
-                );
-                let (qa, qb) = (wa.vc(i, port, vc), wb.vc(i, port, vc));
-                assert_eq!(
-                    qa.len(),
-                    qb.len(),
-                    "cycle {cycle}: queue length at {i}/{port}/{vc}"
-                );
-                assert_eq!(
-                    qa.route(),
-                    qb.route(),
-                    "cycle {cycle}: route at {i}/{port}/{vc}"
-                );
-                for k in 0..qa.len() {
-                    let (fa, fb) = (qa.flit(k), qb.flit(k));
-                    assert_eq!(
-                        (fa.seq, fa.head, fa.tail, fa.ready_at),
-                        (fb.seq, fb.head, fb.tail, fb.ready_at),
-                        "cycle {cycle}: flit {k} at {i}/{port}/{vc}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Warm-state reuse's contract: `Network::reset` must hand back a
-/// network that is move-for-move identical to a freshly constructed
-/// one. A network is dirtied with randomized traffic (reset while
-/// packets are still in flight, so buffers, arenas, holds and
-/// arbiter state are all non-trivial) and reset with the same
-/// parameters. It is then driven in randomized lockstep against a
-/// brand-new network at an arbitrary geometry: identical traffic into
-/// both, deliveries compared node by node every cycle, every lane of
-/// every router compared periodically, and aggregate statistics
-/// compared at the end.
-fn lockstep_reset_vs_fresh(
+/// One audited run of a fresh network at the given geometry under
+/// randomized request, response and coherence traffic: every packet
+/// must arrive exactly once, the network must drain, and the auditor
+/// (conservation, credits, holds, wake lists) must stay clean. These
+/// are the network-level runs at a non-square mesh and at 16x16 with
+/// all three traffic classes mixed.
+fn audited_mixed_run(
     width: u8,
     height: u8,
     regions: usize,
@@ -652,36 +601,22 @@ fn lockstep_reset_vs_fresh(
         core_outbox_cap: 64,
         max_hold: 99,
         hold_slack: 0,
-        audit: None,
+        audit: Some(AuditConfig::default()),
         telemetry: None,
         faults: None,
     };
     let stream = ((width as u64) << 8) | height as u64;
 
-    // Dirty a network: sustained traffic, stopped mid-flight.
-    let mut reused = Network::new(params);
-    let mesh = reused.mesh();
+    let mut net = Network::new(params);
+    let mesh = net.mesh();
     let npl = mesh.nodes_per_layer();
-    let mut dirt = SimRng::for_stream(0xD1E7, stream);
-    for _ in 0..300 {
-        if dirt.chance(0.7) {
-            let src = mesh.coord(NodeId::new(dirt.below(npl) as u16), Layer::Core);
-            let d = dirt.below(npl) as u16;
-            let dst = mesh.coord(NodeId::new(d), Layer::Cache);
-            reused.inject(Packet::new(PacketKind::BankWrite, src, dst, d as u64, 0));
-        }
-        reused.step();
-    }
-    assert!(reused.in_flight() > 0, "dirtying left nothing in flight");
-    reused.reset(params);
-
-    let mut nets = [reused, Network::new(params)];
     let mut rng = SimRng::for_stream(0x5AAD, stream);
+    let mut arrived = vec![false; horizon as usize];
     let mut delivered = 0usize;
     let mut offered = 0usize;
     for cycle in 0..horizon + drain {
         if cycle < horizon && rng.chance(0.5) {
-            // One identical randomized packet into both networks.
+            // One randomized packet, tagged with its offer index.
             let token = offered as u64;
             let s = NodeId::new(rng.below(npl) as u16);
             let d = NodeId::new(rng.below(npl) as u16);
@@ -697,63 +632,52 @@ fn lockstep_reset_vs_fresh(
             } else {
                 (mesh.coord(s, Layer::Cache), mesh.coord(d, Layer::Core))
             };
-            for net in &mut nets {
-                net.inject(Packet::new(kind, src, dst, token, token));
-            }
+            net.inject(Packet::new(kind, src, dst, token, token));
             offered += 1;
         }
-        for net in &mut nets {
-            net.step();
-        }
-        // Deliveries must agree node by node, cycle by cycle.
+        net.step();
         for node in 0..2 * npl {
             let at = if node < npl {
                 mesh.coord(NodeId::new(node as u16), Layer::Core)
             } else {
                 mesh.coord(NodeId::new((node - npl) as u16), Layer::Cache)
             };
-            let [a, b] = &mut nets;
-            let ta: Vec<u64> = a.drain_delivered(at).iter().map(|p| p.token).collect();
-            let tb: Vec<u64> = b.drain_delivered(at).iter().map(|p| p.token).collect();
-            assert_eq!(ta, tb, "cycle {cycle}: deliveries at {at} (reset vs fresh)");
-            delivered += ta.len();
-        }
-        if cycle % 64 == 0 || cycle >= horizon + drain - 100 {
-            assert_networks_match(&nets[0], &nets[1], cycle);
+            for p in net.drain_delivered(at) {
+                let token = p.token as usize;
+                assert!(
+                    !std::mem::replace(&mut arrived[token], true),
+                    "cycle {cycle}: packet {token} delivered twice"
+                );
+                delivered += 1;
+            }
         }
     }
 
     assert!(offered > min_offered, "traffic too thin: {offered} offered");
-    assert_eq!(delivered, offered, "every packet arrives in both");
-    for net in &nets {
-        assert_eq!(net.in_flight(), 0, "runs must drain");
-        assert_eq!(net.stats().delivered, offered as u64);
-    }
-    let (sa, sb) = (nets[0].stats(), nets[1].stats());
-    assert_eq!(
-        (sa.latency.mean(), sa.vertical_flits, sa.tag_acks),
-        (sb.latency.mean(), sb.vertical_flits, sb.tag_acks),
-        "reset network's statistics must match a fresh one's"
-    );
+    assert_eq!(delivered, offered, "every packet arrives exactly once");
+    assert_eq!(net.in_flight(), 0, "the run must drain");
+    assert_eq!(net.stats().delivered, offered as u64);
+    let audit = net.audit_report().expect("auditing is on");
+    assert!(audit.clean(), "violations: {:?}", audit.samples);
 }
 
-/// The reset-vs-fresh lockstep at the paper's 8x8 / 4-region point.
+/// The audited run at the paper's 8x8 / 4-region point.
 #[test]
-fn reset_network_stays_in_lockstep_with_a_fresh_one() {
-    lockstep_reset_vs_fresh(8, 8, 4, 1_500, 1_000, 500);
+fn audited_mixed_traffic_drains_at_8x8() {
+    audited_mixed_run(8, 8, 4, 1_500, 1_000, 500);
 }
 
-/// The same lockstep at a non-square mesh: 4x8, 4 regions (2x2 tiles
-/// of 2x4 nodes).
+/// The same run at a non-square mesh: 4x8, 4 regions (2x2 tiles of
+/// 2x4 nodes).
 #[test]
-fn reset_network_lockstep_holds_at_4x8() {
-    lockstep_reset_vs_fresh(4, 8, 4, 1_200, 900, 300);
+fn audited_mixed_traffic_drains_at_4x8() {
+    audited_mixed_run(4, 8, 4, 1_200, 900, 300);
 }
 
-/// The same lockstep at 16x16 with 16 regions: 512 routers, 21504 VC
-/// lanes — `VcKey` packing and warm reset well beyond the 8x8 point
-/// (shorter horizon; each cycle steps 4x the routers).
+/// The same run at 16x16 with 16 regions: 512 routers, 21504 VC
+/// lanes, `VcKey` packing well beyond the 8x8 point (shorter horizon;
+/// each cycle steps 4x the routers).
 #[test]
-fn reset_network_lockstep_holds_at_16x16() {
-    lockstep_reset_vs_fresh(16, 16, 16, 400, 900, 100);
+fn audited_mixed_traffic_drains_at_16x16() {
+    audited_mixed_run(16, 16, 16, 400, 900, 100);
 }
